@@ -7,7 +7,7 @@ fused compiled-plan path (:meth:`Workspace.apply_plan_compiled`) that
 decomposes, applies, and validates a whole normalized plan in a single
 pass.  This bench records the types-axis curve the ISSUE asks for --
 the same 100-op seeded plan applied at 200 / 1 000 / 10 000 types --
-for both the per-op batched path and the fused compiled path, and
+for both ``apply_plan`` (with designer feedback) and the compiled path, and
 writes it to ``BENCH_PR6.json`` at the repository root.
 
 Floor (enforced only at full scale): decompose + validate + apply of a
@@ -66,7 +66,7 @@ def _median_plan_time(apply_once, undo_all) -> float:
 
 
 def test_bench_compact_plan_scaling(report, record_bench):
-    """200 / 1k / 10k curve: batched per-op vs fused compiled path."""
+    """200 / 1k / 10k curve: ``apply_plan`` vs the compiled path."""
     rows = []
     results: dict[str, dict] = {}
     for size in SIZES:

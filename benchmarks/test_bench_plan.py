@@ -1,30 +1,26 @@
-"""Batched plan application and analyzer overhead (ISSUE 5).
+"""Plan application and analyzer overhead.
 
 Two measurements, merged into the bench trajectory JSON:
 
-* **Naive vs batched plan application** at shrink-wrap scale: applying
+* **Per-op ``apply`` vs ``apply_plan``** at shrink-wrap scale: applying
   a 100-op plan through :meth:`Workspace.apply` validates after every
-  op; :meth:`Workspace.apply_plan` runs the static analyzer once,
-  partitions the plan into runs of pairwise-commuting ops, and
-  validates once per batch.  The two paths are asserted
-  fingerprint-identical (the bench doubles as the batching
-  differential), then timed.  Floor: parity (>= 0.9x) at 200 types /
-  100 ops.  The original ISSUE 5 floor was >= 2x, but most of that gap
-  was the per-op path paying an *eager propagation scratch copy* per
-  operation -- PR 9's copy-on-write forks collapsed that tax, so at
-  200 types the two paths now tie (~1.0x) and batching's advantage
-  only re-emerges with schema size (~1.5x at 4k types); the bulk-path
-  scaling floors live with the compiled pass in
-  ``test_bench_compact.py`` / ``test_bench_columnar.py``.
+  op; :meth:`Workspace.apply_plan` runs the static analyzer once, then
+  sends every op through the same apply pipeline and validates once at
+  the end.  The two paths are asserted fingerprint-identical, then
+  timed.  Floor: parity (>= 0.9x) at 200 types / 100 ops.  The floor was
+  once >= 2x, but most of that gap was the per-op path paying an *eager
+  propagation scratch copy* per operation; copy-on-write forks and then
+  the one apply pipeline removed that tax, so at 200 types the two paths
+  roughly tie; the bulk-path scaling floors live with the compiled pass
+  in ``test_bench_compact.py`` / ``test_bench_columnar.py``.
 * **Analyzer overhead**: :func:`~repro.analysis.plan.analyze_plan` on
-  the same plan, alone, as a fraction of the naive apply time -- the
+  the same plan, alone, as a fraction of the per-op apply time -- the
   pre-flight must stay a small add-on, not a second apply loop.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
 from repro.analysis.plan import analyze_plan
 from repro.model.fingerprint import schema_fingerprint
@@ -57,47 +53,45 @@ def _workload():
     return schema, plan
 
 
-def test_bench_plan_batched_vs_naive(report, record_bench):
-    """apply_plan (validate per batch) vs apply (validate per op)."""
+def test_bench_plan_apply_plan_vs_per_op(report, record_bench):
+    """apply_plan (validate once) vs per-op apply (validate per op)."""
     schema, plan = _workload()
 
-    def naive():
-        workspace = Workspace(schema, "naive")
+    def per_op():
+        workspace = Workspace(schema, "per_op")
         for operation in plan:
             workspace.apply(operation)
         return workspace
 
-    def batched():
-        workspace = Workspace(schema, "batched")
+    def planned():
+        workspace = Workspace(schema, "apply_plan")
         workspace.apply_plan(plan)
         return workspace
 
-    assert schema_fingerprint(naive().schema) == schema_fingerprint(
-        batched().schema
-    ), "batched apply_plan diverged from naive per-op application"
+    assert schema_fingerprint(per_op().schema) == schema_fingerprint(
+        planned().schema
+    ), "apply_plan diverged from per-op application"
 
-    naive_time = _median_time(naive, repeats=REPEATS)
-    batched_time = _median_time(batched, repeats=REPEATS)
-    speedup = naive_time / batched_time if batched_time else float("inf")
-    batches = len(analyze_plan(plan, schema).batches)
+    per_op_time = _median_time(per_op, repeats=REPEATS)
+    planned_time = _median_time(planned, repeats=REPEATS)
+    speedup = per_op_time / planned_time if planned_time else float("inf")
 
-    record_bench(f"plan_naive[{SIZE}x{PLAN_OPS}]", naive_time, types=SIZE)
-    record_bench(f"plan_batched[{SIZE}x{PLAN_OPS}]", batched_time, types=SIZE)
+    record_bench(f"plan_per_op[{SIZE}x{PLAN_OPS}]", per_op_time, types=SIZE)
+    record_bench(f"plan_apply_plan[{SIZE}x{PLAN_OPS}]", planned_time, types=SIZE)
     lines = [
-        "plan application: per-op validation vs per-batch validation",
+        "plan application: per-op apply vs apply_plan",
         f"mode: {'smoke' if SMOKE else 'full'}; {SIZE} types, "
-        f"{len(plan)}-op plan, {batches} batches",
+        f"{len(plan)}-op plan",
         "",
-        f"naive (validate/op):      {naive_time * 1e3:9.3f}ms",
-        f"batched (validate/batch): {batched_time * 1e3:9.3f}ms",
-        f"speedup:                  {speedup:9.2f}x "
+        f"per-op apply (validate/op):  {per_op_time * 1e3:9.3f}ms",
+        f"apply_plan (validate once):  {planned_time * 1e3:9.3f}ms",
+        f"speedup:                     {speedup:9.2f}x "
         "(floor at 200 types / 100 ops: parity, >= 0.9x)",
     ]
-    report("plan_batched_vs_naive", "\n".join(lines))
-    # Parity guard: since CoW forks removed the per-op scratch-copy tax
-    # (PR 9), batching no longer wins at 200 types -- but it must never
-    # *lose* to per-op application either (its remaining value is one
-    # analysis pass, commutativity batching, and the scaling curve).
+    report("plan_apply_plan_vs_per_op", "\n".join(lines))
+    # Parity guard: apply_plan no longer wins at 200 types, but it must
+    # never *lose* to per-op application either (its remaining value is
+    # one analysis pass, normalization, and a single validation).
     floor = 0.9 if STRICT else 0.75
     assert speedup >= floor, (
         f"apply_plan at {SIZE} types / {len(plan)} ops fell to "
@@ -113,13 +107,13 @@ def test_bench_plan_analyzer_overhead(report, record_bench):
         lambda: analyze_plan(plan, schema), repeats=REPEATS
     )
 
-    def naive():
-        workspace = Workspace(schema, "overhead_naive")
+    def per_op():
+        workspace = Workspace(schema, "overhead_per_op")
         for operation in plan:
             workspace.apply(operation)
 
-    naive_time = _median_time(naive, repeats=REPEATS)
-    fraction = analyze_time / naive_time if naive_time else 0.0
+    per_op_time = _median_time(per_op, repeats=REPEATS)
+    fraction = analyze_time / per_op_time if per_op_time else 0.0
 
     record_bench(
         f"plan_analyze[{SIZE}x{PLAN_OPS}]", analyze_time, types=SIZE
@@ -131,7 +125,7 @@ def test_bench_plan_analyzer_overhead(report, record_bench):
         f"{len(plan)}-op plan",
         "",
         f"analyze_plan: {analyze_time * 1e3:9.3f}ms",
-        f"naive apply:  {naive_time * 1e3:9.3f}ms",
+        f"per-op apply: {per_op_time * 1e3:9.3f}ms",
         f"fraction:     {fraction * 100:9.2f}%",
     ]
     report("plan_analyzer_overhead", "\n".join(lines))

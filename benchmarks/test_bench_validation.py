@@ -165,7 +165,7 @@ def test_bench_validation_counters_surface():
     schema.validation.validate()
     schema.validation.validate()
     stats = schema.stats()
-    assert stats["validation_full"] >= 1
-    assert stats["validation_incremental"] >= 1
-    assert stats["validation_clean_hits"] >= 1
-    assert stats["validation_revalidated"] >= 1
+    assert stats["validation.full"] >= 1
+    assert stats["validation.incremental"] >= 1
+    assert stats["validation.clean_hits"] >= 1
+    assert stats["validation.revalidated"] >= 1

@@ -45,7 +45,6 @@ _PLAN_EXPORTS = frozenset({
     "analyze_plan",
     "conflict_edges",
     "normalize_plan",
-    "partition_batches",
 })
 
 
@@ -94,7 +93,6 @@ __all__ = [
     "full_rebuild_script",
     "name_affinity",
     "normalize_plan",
-    "partition_batches",
     "render_path",
     "schema_affinity",
     "schema_diff",

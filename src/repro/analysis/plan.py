@@ -14,9 +14,11 @@ declares:
   extent name-equivalence violations, Table 1 inadmissibility) with op
   indices before anything runs, and -- when the plan is clean --
   **normalizes** it (dead add→delete pairs, add/modify and
-  modify-chain fusion) and partitions it into commuting **batches**;
-* :meth:`repro.repository.workspace.Workspace.apply_plan` consumes the
-  batches to validate once per batch instead of once per op;
+  modify-chain fusion);
+* :meth:`repro.repository.workspace.Workspace.apply_plan` and
+  ``apply_plan_compiled`` refuse a plan with diagnostics and run the
+  normalized plan through the workspace's one apply pipeline, which
+  validates once at the end of the plan;
 * ``python -m repro.analysis.plan --schema file.odl --script plan.txt``
   prints the report from the command line.
 
@@ -28,10 +30,9 @@ invariant):
   themselves make, so there are no false positives;
 * a plan that passes clean *may* still fail dynamically (the analyzer
   does not model attribute- or relationship-level state), but
-  normalization and batching never change what a clean, applicable plan
-  computes: batches preserve execution order (they only coarsen
-  validation), and rewrites are applied only when the ops involved are
-  commutable to adjacency under the conflict relation.
+  normalization never changes what a clean, applicable plan computes:
+  rewrites are applied only when the ops involved are commutable to
+  adjacency under the conflict relation.
 """
 
 from __future__ import annotations
@@ -112,9 +113,6 @@ class PlanAnalysis:
     normalized: list[SchemaOperation]
     #: Human-readable notes for each normalization rewrite.
     notes: list[str] = field(default_factory=list)
-    #: Consecutive runs of pairwise-commuting ops of ``normalized``;
-    #: concatenated they are exactly ``normalized``.
-    batches: list[list[SchemaOperation]] = field(default_factory=list)
 
     def is_clean(self) -> bool:
         """True when pre-flight found no guaranteed failure."""
@@ -137,12 +135,6 @@ class PlanAnalysis:
             lines.append(
                 f"normalized: {len(self.plan)} -> "
                 f"{len(self.normalized)} operation(s)"
-            )
-        if self.batches:
-            sizes = ", ".join(str(len(batch)) for batch in self.batches)
-            lines.append(
-                f"batches: {len(self.batches)} "
-                f"(validate once per batch; sizes: {sizes})"
             )
         return "\n".join(lines)
 
@@ -303,7 +295,7 @@ def _apply_extent_effect(
 
 
 # ----------------------------------------------------------------------
-# Conflict graph and batching
+# Conflict graph
 # ----------------------------------------------------------------------
 
 
@@ -318,36 +310,6 @@ def conflict_edges(
             if reason is not None:
                 edges.append(ConflictEdge(earlier, later, reason))
     return edges
-
-
-def partition_batches(
-    plan: list[SchemaOperation],
-    signatures: list[EffectSignature] | None = None,
-) -> list[list[SchemaOperation]]:
-    """Split the plan into consecutive runs of pairwise-commuting ops.
-
-    Execution order is untouched -- batches are cut points, nothing is
-    reordered -- so batching is always safe; it only decides how often
-    :meth:`~repro.repository.workspace.Workspace.apply_plan` re-validates.
-    """
-    if signatures is None:
-        signatures = [operation.effect_signature() for operation in plan]
-    batches: list[list[SchemaOperation]] = []
-    current: list[SchemaOperation] = []
-    current_signatures: list[EffectSignature] = []
-    for operation, signature in zip(plan, signatures):
-        if current and any(
-            previous.conflicts_with(signature) is not None
-            for previous in current_signatures
-        ):
-            batches.append(current)
-            current = []
-            current_signatures = []
-        current.append(operation)
-        current_signatures.append(signature)
-    if current:
-        batches.append(current)
-    return batches
 
 
 # ----------------------------------------------------------------------
@@ -651,13 +613,13 @@ def analyze_plan(
 
     With *kind*, each op is additionally checked against the Table 1
     admissibility matrix for that concept-schema type.  Normalization
-    and batching run only when pre-flight reports no diagnostics -- a
-    failing plan is reported as-is, with indices into the original.
+    runs only when pre-flight reports no diagnostics -- a failing plan
+    is reported as-is, with indices into the original.
 
-    ``edges=False`` skips the O(n^2) conflict-edge graph; diagnostics,
-    normalization, and batches are unaffected (they use pairwise
-    conflict checks directly).  :meth:`Workspace.apply_plan` uses this
-    -- it consumes only diagnostics and batches.
+    ``edges=False`` skips the O(n^2) conflict-edge graph; diagnostics
+    and normalization are unaffected (they use pairwise conflict checks
+    directly).  :meth:`Workspace.apply_plan` uses this -- it consumes
+    only the diagnostics and the normalized plan.
     """
     operations = list(plan)
     signatures = [operation.effect_signature() for operation in operations]
@@ -667,11 +629,6 @@ def analyze_plan(
     notes: list[str] = []
     if not diagnostics and normalize:
         normalized, notes = normalize_plan(operations, signatures)
-    batches: list[list[SchemaOperation]] = []
-    if not diagnostics:
-        batches = partition_batches(
-            normalized, signatures if not notes else None
-        )
     return PlanAnalysis(
         plan=operations,
         signatures=signatures,
@@ -679,7 +636,6 @@ def analyze_plan(
         diagnostics=diagnostics,
         normalized=normalized,
         notes=notes,
-        batches=batches,
     )
 
 
@@ -689,8 +645,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.analysis.plan",
         description=(
             "Static pre-flight analysis of a modification plan: effect "
-            "signatures, conflict edges, diagnostics, normalization, "
-            "and validation batches."
+            "signatures, conflict edges, diagnostics, and normalization."
         ),
     )
     parser.add_argument(

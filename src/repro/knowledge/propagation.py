@@ -104,6 +104,7 @@ def expand_applying(
     operation: SchemaOperation,
     context: OperationContext,
     before_step=None,
+    propagate: bool = True,
 ) -> tuple[list[SchemaOperation], list]:
     """Single-pass :func:`expand`: compute the plan while applying it.
 
@@ -114,15 +115,18 @@ def expand_applying(
     destructive ops on a large schema.  On any failure every applied
     step is undone and the error re-raised; *schema* is then untouched.
 
-    ``before_step(step)``, when given, runs just before each step
-    applies (the workspace collects cautions there).  Returns the
-    ``(plan, undos)`` pair the workspace logs.
+    ``before_step(step)``, when given, runs for each step before its
+    cascades are computed (the workspace evaluates cautions there, so a
+    step is judged on the state its own cascades have not yet changed).
+    With ``propagate`` off, *operation* is applied bare, without
+    cascades.  Returns the ``(plan, undos)`` pair the workspace logs.
     """
     plan: list[SchemaOperation] = []
     undos: list = []
     try:
         _expand_applying_into(
-            schema, operation, context, plan, undos, before_step, depth=0
+            schema, operation, context, plan, undos, before_step,
+            propagate, depth=0,
         )
     except BaseException:
         for undo in reversed(undos):
@@ -138,20 +142,21 @@ def _expand_applying_into(
     plan: list[SchemaOperation],
     undos: list,
     before_step,
+    propagate: bool,
     depth: int,
 ) -> None:
     if depth > 100:
         raise RuntimeError(
             f"propagation for {operation.to_text()} did not converge"
         )
-    if isinstance(operation, _CASCADING_OPS):
+    if before_step is not None:
+        before_step(operation)
+    if propagate and isinstance(operation, _CASCADING_OPS):
         for cascade in direct_cascades(schema, operation):
             _expand_applying_into(
                 schema, cascade, context, plan, undos, before_step,
-                depth + 1,
+                propagate, depth + 1,
             )
-    if before_step is not None:
-        before_step(operation)
     undos.append(operation.apply(schema, context))
     plan.append(operation)
 

@@ -75,6 +75,11 @@ def main(argv: list[str] | None = None) -> int:
 
     baseline = Baseline.load(args.baseline)
     new, baselined, stale = baseline.split(findings)
+    if args.passes:
+        # Entries of passes that did not run are not stale.
+        ran = {rule for each in all_passes() if each.pass_id in args.passes
+               for rule in each.rules}
+        stale = [key for key in stale if key.split(" ", 1)[0] in ran]
     json_report = render_json(new, baselined, stale, reports, baseline.errors)
     if args.output is not None:
         args.output.write_text(json_report + "\n", encoding="utf-8")

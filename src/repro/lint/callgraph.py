@@ -1,12 +1,11 @@
 """Transitive call-graph resolution over :class:`~repro.lint.loader.Codebase`.
 
-This generalises the machinery ``tools/check_mutators.py`` and
-``tools/check_effects.py`` each reimplemented: same-class method calls
-resolved over the (static) MRO, module-level helpers and imported
-functions resolved through the import table, and nested closures (undo
-lambdas, local ``def``\\ s) covered by walking the whole function
-subtree.  On top of the exact cases the old scripts handled it adds two
-resolution channels the new passes need:
+One resolver serves every pass of ``python -m repro.lint``: same-class
+method calls resolved over the (static) MRO, module-level helpers and
+imported functions resolved through the import table, and nested
+closures (undo lambdas, local ``def``\\ s) covered by walking the whole
+function subtree.  Two further resolution channels cover what plain
+same-class resolution misses:
 
 * **annotation typing** -- ``def f(schema: Schema)`` makes
   ``schema.get(...)`` resolve to ``Schema.get``;

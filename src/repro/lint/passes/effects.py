@@ -1,14 +1,14 @@
 """Effects pass: every op class declares the aspects its apply mutates.
 
-Migrated from ``tools/check_effects.py`` (now a thin shim re-exporting
-:func:`check_operation_class` / :func:`reachable_mutators` from here).
+Run with ``python -m repro.lint --pass effects``; the tests drive
+:func:`check_operation_class` / :func:`reachable_mutators` directly.
 
 The static plan analyzer (``repro.analysis.plan``) trusts each
 operation class's declared effect signature, which is built from
 ``touched_aspects``.  An op whose ``apply`` (or the undo closure it
 returns, or a helper it calls) reaches a spine mutator for an aspect
 the class does not declare would make the analyzer's conflict graph --
-and therefore validation batching -- unsound.
+and therefore plan normalization -- unsound.
 
 For every concrete class in :data:`repro.ops.registry.OPERATION_CLASSES`
 the pass traces the mutator attribute calls transitively reachable from

@@ -1,8 +1,7 @@
-"""Spine pass: mutators emit, open with the CoW barrier, compiled plans
-mutate only through the sanctioned calls.
+"""Spine pass: mutators emit, open with the CoW barrier, apply entries
+mutate only through the one pipeline.
 
-Migrated from ``tools/check_mutators.py`` (which is now a thin shim over
-this module), behaviour-identical but sourced from the shared
+Run with ``python -m repro.lint --pass spine``; sourced from the shared
 :class:`~repro.lint.loader.Codebase` load:
 
 * ``spine-emission`` -- every public mutator method (``add_*`` /
@@ -14,10 +13,14 @@ this module), behaviour-identical but sourced from the shared
   ``self._cow_barrier()`` as its literal first statement (after the
   docstring), so borrowers settle before the first divergent write
   (DESIGN.md 5j).
-* ``compiled-plan`` -- ``Workspace.apply_plan_compiled`` calls
-  ``expand_applying`` and ``self._note_scopes``, and no reachable
-  ``Workspace`` method calls a mutator-prefixed method or writes a
-  container by subscript (DESIGN.md 5g).
+* ``compiled-plan`` -- every public apply entry of ``Workspace``
+  (``apply``, ``apply_composite``, ``apply_plan``,
+  ``apply_plan_compiled``) reaches ``expand_applying`` and
+  ``self._note_scopes``, and no ``Workspace`` method reachable from one
+  calls a mutator-prefixed method, calls another object's ``apply``,
+  or writes a container by subscript (DESIGN.md 5g).  The rule id
+  predates the widening from the compiled path to every entry and is
+  kept stable.
 """
 
 from __future__ import annotations
@@ -47,9 +50,10 @@ EMISSION_TARGETS = {
 #: module -> class whose public mutators must run the CoW fault hook first
 COW_BARRIER_TARGETS = {"repro.model.interface": "InterfaceDef"}
 
-COMPILED_MODULE = "repro.repository.workspace"
-COMPILED_CLASS = "Workspace"
-COMPILED_ENTRY = "apply_plan_compiled"
+APPLY_MODULE = "repro.repository.workspace"
+APPLY_CLASS = "Workspace"
+#: the public entries that must all run through the one apply pipeline
+APPLY_ENTRIES = ("apply", "apply_composite", "apply_plan", "apply_plan_compiled")
 
 
 def is_public_mutator(name: str) -> bool:
@@ -237,94 +241,100 @@ def cow_findings(
 
 def compiled_plan_findings(
     codebase: Codebase,
-    module_name: str = COMPILED_MODULE,
-    class_name: str = COMPILED_CLASS,
-    entry_name: str = COMPILED_ENTRY,
+    module_name: str = APPLY_MODULE,
+    class_name: str = APPLY_CLASS,
 ) -> list[Finding]:
-    """The compiled-plan path mutates only through the sanctioned calls.
+    """Every apply entry mutates only through the one pipeline.
 
-    The entry must reach ``expand_applying`` (every mutation is a
-    ``step.apply`` inside it, emitting the same records the per-op path
-    emits) and ``self._note_scopes`` (the same per-step scope notes).
-    Conversely, no method reachable from it may call a mutator-prefixed
-    method or store/delete through a subscript.
+    Each entry must reach ``expand_applying`` (every mutation is a
+    ``step.apply`` inside it, emitting the same records whichever entry
+    ran) and ``self._note_scopes`` (the same per-step scope notes).
+    Conversely, no method reachable from an entry may call a
+    mutator-prefixed method, call some other object's ``apply``
+    directly, or store/delete through a subscript.  A helper reached
+    from several entries is reported once, under the first.
     """
     methods = _own_methods(codebase, module_name, class_name)
     path = _path_of(codebase, module_name)
     symbol_base = f"{module_name}:{class_name}"
-    if entry_name not in methods:
-        return [
-            Finding(
-                rule="compiled-plan",
-                path=path,
-                line=1,
-                symbol=f"{symbol_base}.{entry_name}",
-                message=f"{class_name}.{entry_name} not found",
-            )
-        ]
-    entry = methods[entry_name]
     findings: list[Finding] = []
-    called = {
-        _call_name(node)
-        for node in ast.walk(entry)
-        if isinstance(node, ast.Call)
-    }
-    for required in ("expand_applying", "_note_scopes"):
-        if required not in called:
+
+    def finding(line: int, name: str, message: str) -> Finding:
+        return Finding(
+            rule="compiled-plan", path=path, line=line,
+            symbol=f"{symbol_base}.{name}", message=message,
+        )
+
+    checked: set[str] = set()
+    for entry_name in APPLY_ENTRIES:
+        if entry_name not in methods:
             findings.append(
-                Finding(
-                    rule="compiled-plan",
-                    path=path,
-                    line=entry.lineno,
-                    symbol=f"{symbol_base}.{entry_name}",
-                    message=(
-                        f"no longer calls {required}; the compiled pass must "
-                        "mutate through expand_applying and note each step's "
-                        "scope"
-                    ),
-                )
+                finding(1, entry_name, f"{class_name}.{entry_name} not found")
             )
-    for name, function in sorted(_reachable_methods(methods, entry_name).items()):
-        for node in ast.walk(function):
-            if isinstance(node, ast.Call):
-                target = _call_name(node)
-                if target is not None and target.startswith(MUTATOR_PREFIXES):
-                    findings.append(
-                        Finding(
-                            rule="compiled-plan",
-                            path=path,
-                            line=node.lineno,
-                            symbol=f"{symbol_base}.{name}",
-                            message=(
-                                f"(reachable from {entry_name}) calls mutator "
-                                f"{target!r}; compiled plans must mutate only "
-                                "via expand_applying"
-                            ),
-                        )
-                    )
-            targets: list[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            elif isinstance(node, ast.Delete):
-                targets = list(node.targets)
-            for target in targets:
-                if isinstance(target, ast.Subscript):
-                    findings.append(
-                        Finding(
-                            rule="compiled-plan",
-                            path=path,
-                            line=node.lineno,
-                            symbol=f"{symbol_base}.{name}",
-                            message=(
-                                f"(reachable from {entry_name}) writes a "
-                                "container by subscript; compiled plans must "
-                                "not mutate model state outside expand_applying"
-                            ),
-                        )
-                    )
+            continue
+        reached = _reachable_methods(methods, entry_name)
+        called = {
+            _call_name(node)
+            for function in reached.values()
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+        }
+        for required in ("expand_applying", "_note_scopes"):
+            if required not in called:
+                findings.append(finding(
+                    methods[entry_name].lineno, entry_name,
+                    f"never reaches {required}; every apply entry must "
+                    "mutate through expand_applying and note each step's "
+                    "scope",
+                ))
+        for name, function in sorted(reached.items()):
+            if name in checked:
+                continue
+            checked.add(name)
+            where = f"(reachable from {entry_name})"
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call):
+                    target = _call_name(node)
+                    if target is not None and target.startswith(MUTATOR_PREFIXES):
+                        findings.append(finding(
+                            node.lineno, name,
+                            f"{where} calls mutator {target!r}; apply "
+                            "entries must mutate only via expand_applying",
+                        ))
+                    if _is_foreign_apply(node):
+                        receiver = ast.unparse(node.func.value)
+                        findings.append(finding(
+                            node.lineno, name,
+                            f"{where} calls {receiver}.apply directly; "
+                            "apply entries must mutate only via "
+                            "expand_applying",
+                        ))
+                targets: list[ast.expr] = []
+                if isinstance(node, ast.Assign):
+                    targets = list(node.targets)
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                elif isinstance(node, ast.Delete):
+                    targets = list(node.targets)
+                for target in targets:
+                    if isinstance(target, ast.Subscript):
+                        findings.append(finding(
+                            node.lineno, name,
+                            f"{where} writes a container by subscript; "
+                            "apply entries must not mutate model state "
+                            "outside expand_applying",
+                        ))
     return findings
+
+
+def _is_foreign_apply(call: ast.Call) -> bool:
+    """True for ``x.apply(...)`` on anything but ``self``."""
+    func = call.func
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr == "apply"
+        and not (isinstance(func.value, ast.Name) and func.value.id == "self")
+    )
 
 
 @register_pass(
@@ -332,8 +342,8 @@ def compiled_plan_findings(
     rules=("spine-emission", "cow-barrier", "compiled-plan"),
     contract=(
         "every public mutator emits a MutationRecord, InterfaceDef mutators "
-        "open with the CoW barrier, and compiled plans mutate only via "
-        "expand_applying + _note_scopes"
+        "open with the CoW barrier, and every Workspace apply entry mutates "
+        "only via expand_applying + _note_scopes"
     ),
 )
 def run(context: LintContext) -> list[Finding]:

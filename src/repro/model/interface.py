@@ -12,7 +12,7 @@ that they are validated, logged, and reversible -- the methods here are
 the primitive storage layer those operations use.
 
 Every mutator emits one :class:`~repro.model.mutation.MutationRecord`
-onto each owning schema's mutation spine (``tools/check_mutators.py``
+onto each owning schema's mutation spine (``python -m repro.lint``
 enforces this), so cache layers never hear about changes through any
 other channel.
 """
@@ -243,7 +243,7 @@ class InterfaceDef:
         """Materialise every borrower before this interface changes.
 
         The first statement of every mutator (AST-enforced by
-        ``tools/check_mutators.py``): per-interface claims freeze their
+        ``python -m repro.lint``): per-interface claims freeze their
         copy against the still-unmutated state, and schema-level borrows
         (CoW forks) registered on the owning spines privatise the
         interface into any live fork still sharing it.  Dead borrowers

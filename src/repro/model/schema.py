@@ -590,8 +590,9 @@ class Schema:
     def note_analysis_cache(self, hit: bool) -> None:
         """Count one plan-analysis memo lookup (hit or miss).
 
-        Fed by :meth:`repro.repository.workspace.Workspace.apply_plan`'s
-        analysis memo so ``stats()`` exposes the retry-reuse rate.
+        Fed by the plan-analysis memo behind
+        :meth:`repro.repository.workspace.Workspace.apply_plan`, so
+        ``stats()`` exposes the retry-reuse rate.
         """
         if hit:
             self._analysis_hits += 1
@@ -602,9 +603,7 @@ class Schema:
         """Size metrics plus spine and subscriber counters.
 
         Spine and subscriber counters live under namespaced keys
-        (``spine.seq``, ``index.hits``, ``validation.full`` ...); the
-        flat legacy keys (``index_hits``, ``validation_full`` ...) are
-        kept as aliases for one release.
+        (``spine.seq``, ``index.hits``, ``validation.full`` ...).
         """
         index = self._index.stats()
         if self._validation is not None:
@@ -617,7 +616,7 @@ class Schema:
                 "interfaces_revalidated": 0,
                 "interfaces_reused": 0,
             }
-        stats = {
+        return {
             "interfaces": len(self),
             "attributes": sum(len(i.attributes) for i in self),
             "relationship_ends": sum(len(i.relationships) for i in self),
@@ -641,17 +640,6 @@ class Schema:
             "analysis.hits": self._analysis_hits,
             "analysis.misses": self._analysis_misses,
         }
-        # Deprecated flat aliases, kept for one release.
-        stats["index_hits"] = stats["index.hits"]
-        stats["index_misses"] = stats["index.misses"]
-        stats["index_rebuilds"] = stats["index.rebuilds"]
-        stats["index_generation"] = stats["index.generation"]
-        stats["validation_clean_hits"] = stats["validation.clean_hits"]
-        stats["validation_full"] = stats["validation.full"]
-        stats["validation_incremental"] = stats["validation.incremental"]
-        stats["validation_revalidated"] = stats["validation.revalidated"]
-        stats["validation_reused"] = stats["validation.reused"]
-        return stats
 
     def __str__(self) -> str:
         return f"schema {self.name} ({len(self)} interfaces)"

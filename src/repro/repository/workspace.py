@@ -4,10 +4,19 @@ Figure 1 places a "Workspace" data structure between the concept schemas
 and the custom schema: modifications are applied there, one operation at
 a time, each validated, optionally propagated, logged, and undoable.
 
-The paper's loop validates the custom schema after *every* operation;
-the workspace does that through the incremental validation engine
+Every mutating entry -- :meth:`Workspace.apply`, ``apply_composite``,
+``apply_plan`` and ``apply_plan_compiled`` -- runs through one pipeline:
+each operation is expanded and applied on the live schema by
+:func:`~repro.knowledge.propagation.expand_applying`, cautions are
+evaluated before each step's cascades (only ``apply_plan_compiled``
+skips them), and the call is one transaction that any exception rolls
+back.  Redo and ``fork(at=...)`` replay recorded steps through one
+shared helper with the same rollback.
+
+The paper's loop validates the custom schema after every operation; the
+workspace does that through the incremental validation engine
 (:class:`repro.model.validation_cache.ValidationCache`), which re-checks
-only the dirty set each step leaves behind, and keeps the current issue
+only the dirty set each call leaves behind, and keeps the current issue
 list in :attr:`Workspace.issues`.
 
 On top of the mutation spine the workspace offers cheap what-if
@@ -22,12 +31,17 @@ rewinds to a snapshot through the ordinary undo machinery.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 
 from repro.concepts.base import ConceptKind, ConceptSchema
 from repro.knowledge.constraints import cautions_for
 from repro.knowledge.feedback import Feedback, info
-from repro.knowledge.propagation import expand, expand_applying
+# ``expand`` is unused here, but the benchmark's propagation layer
+# (perfbench/layers.py) wraps this module's binding of it, so the name
+# must stay importable from this module until that layer is dropped.
+from repro.knowledge.propagation import expand, expand_applying  # noqa: F401
 from repro.model.errors import SchemaError
 from repro.model.mutation import MutationLog
 from repro.model.schema import Schema
@@ -78,6 +92,25 @@ class LogEntry:
         if extra:
             text += f" (+{extra} cascaded)"
         return text
+
+
+def _feedback(
+    operation: SchemaOperation,
+    plan: list[SchemaOperation],
+    cautions: list[tuple[SchemaOperation, list[Feedback]]],
+) -> list[Feedback]:
+    """Each step's cautions in plan order, then a note per cascade."""
+    by_step = {id(step): notes for step, notes in cautions}
+    feedback = [note for step in plan for note in by_step[id(step)]]
+    feedback.extend(
+        info(
+            "cascaded", step.to_text(),
+            f"performed automatically for {operation.op_name}",
+        )
+        for step in plan
+        if step is not operation
+    )
+    return feedback
 
 
 class Workspace:
@@ -149,64 +182,13 @@ class Workspace:
         The ablation bench uses this to quantify what the propagation
         rules buy.
         """
-        return self._apply_entry(operation, concept, propagate, refresh=True)
-
-    def _apply_entry(
-        self,
-        operation: SchemaOperation,
-        concept: ConceptSchema | None,
-        propagate: bool,
-        refresh: bool,
-    ) -> LogEntry:
-        if concept is not None:
-            check_admissible(operation, concept.kind)
-        if propagate:
-            plan = expand(self.schema, operation, self.context)
-        else:
-            plan = [operation]
-        feedback: list[Feedback] = []
-        for step in plan:
-            feedback.extend(cautions_for(self.schema, step))
-        undos: list[Undo] = []
-        try:
-            for step in plan:
-                undos.append(step.apply(self.schema, self.context))
-        except (OperationError, SchemaError):
-            # Operations reject with OperationError; a model-layer
-            # SchemaError (unknown type, duplicate name) escaping an
-            # op's validate is the same verdict -- either way the
-            # workspace must be left exactly as it was.
-            for undo in reversed(undos):
-                undo()
-            raise
-        for step in plan:
-            if step is not operation:
-                feedback.append(
-                    info(
-                        "cascaded", step.to_text(),
-                        f"performed automatically for {operation.op_name}",
-                    )
-                )
-        entry = LogEntry(
-            requested=operation,
-            plan=plan,
-            undos=undos,
-            concept_id=concept.identifier if concept else None,
-            feedback=feedback,
-            propagated=propagate,
-        )
-        self.log.append(entry)
-        self._redo_stack.clear()
-        self._note_scopes(plan)
-        if refresh:
-            self._refresh_issues()
+        (entry,) = self._run([operation], concept, True, propagate)
         return entry
 
     def apply_plan(
         self,
         plan: list[SchemaOperation],
         concept: ConceptSchema | None = None,
-        propagate: bool = True,
         normalize: bool = True,
     ) -> list[LogEntry]:
         """Pre-flight, normalize, and apply a whole plan at once.
@@ -216,56 +198,171 @@ class Workspace:
         schema and, when *concept* is given, its Table 1 kind); if any
         diagnostic fires, :class:`~repro.analysis.plan.PlanPreflightError`
         is raised before anything runs.  A clean plan is normalized
-        (unless ``normalize`` is off) and applied batch by batch: every
-        op still goes through the full :meth:`apply` machinery
-        (admissibility, propagation, cautions, one log entry each), but
-        the per-step validation runs once per *batch* of commuting ops
-        instead of once per op -- the paper's validate-after-every-
-        operation loop at a fraction of the cost.
+        (unless ``normalize`` is off) and every op goes through the same
+        pipeline as :meth:`apply` (admissibility, propagation, cautions,
+        one log entry each); validation runs once, after the last op.
 
         Returns one :class:`LogEntry` per *executed* (normalized) op.
         If any op fails dynamically mid-plan, everything applied so far
         is undone and the error re-raised, leaving the workspace as it
         was.
         """
-        from repro.analysis.plan import PlanPreflightError
+        return self._run(self._vetted(plan, concept, normalize), concept, True)
 
-        kind = concept.kind if concept is not None else None
-        analysis = self._analyzed(plan, kind, normalize)
-        if analysis.diagnostics:
-            raise PlanPreflightError(analysis.diagnostics)
-        entries: list[LogEntry] = []
-        try:
-            for batch in analysis.batches:
-                for operation in batch:
-                    if propagate:
-                        entries.append(self._apply_fast(operation, concept))
-                    else:
-                        entries.append(self._apply_entry(
-                            operation, concept, propagate, refresh=False
-                        ))
-                self._refresh_issues()
-        except (OperationError, SchemaError):
-            for _ in entries:
-                self.undo_last()
-            self._redo_stack.clear()
-            self._refresh_issues()
-            raise
+    def apply_plan_compiled(
+        self,
+        plan: list[SchemaOperation],
+        concept: ConceptSchema | None = None,
+        normalize: bool = True,
+    ) -> list[LogEntry]:
+        """:meth:`apply_plan` without designer feedback, for bulk use.
+
+        Same pre-flight, normalization, pipeline and single validation
+        as :meth:`apply_plan`, but cautions and cascade notes are not
+        computed -- this path is for bulk application where the
+        pre-flight already vetted the plan, e.g. replaying a reviewed
+        script onto a 10k-type schema.  The emitted ``MutationRecord``
+        stream is identical to the per-op path's, record for record:
+        both mutate only through ``expand_applying`` and note the same
+        per-step scopes (the ``spine`` pass of ``python -m repro.lint``
+        checks every apply entry for this).
+        """
+        return self._run(self._vetted(plan, concept, normalize), concept, False)
+
+    def apply_composite(
+        self,
+        composite,
+        concept: ConceptSchema | None = None,
+        propagate: bool = True,
+    ) -> list[LogEntry]:
+        """Apply a composite operation (a macro of primitives).
+
+        Each primitive of the expanded plan goes through the same
+        pipeline as :meth:`apply` -- and is logged -- so propagation,
+        feedback, undo, and persistence all keep working at the
+        primitive level.  If a later primitive fails, the earlier ones
+        are undone and the error re-raised, leaving the workspace
+        unchanged.
+        """
+        plan = composite.expand_plan(self.schema, self.context)
+        return self._run(plan, concept, True, propagate)
+
+    def apply_kind_checked(
+        self, operation: SchemaOperation, kind: ConceptKind,
+        propagate: bool = True,
+    ) -> LogEntry:
+        """Apply with a bare concept *kind* instead of a concept object."""
+        check_admissible(operation, kind)
+        return self.apply(operation, concept=None, propagate=propagate)
+
+    def _run(
+        self,
+        operations: list[SchemaOperation],
+        concept: ConceptSchema | None,
+        feedback: bool,
+        propagate: bool = True,
+    ) -> list[LogEntry]:
+        """The apply pipeline every public apply entry runs through.
+
+        Each operation is checked for admissibility, then expanded and
+        applied against the live schema in one pass
+        (:func:`~repro.knowledge.propagation.expand_applying`), and its
+        plan's scopes are noted.  With *feedback* on, each step's
+        cautions are evaluated before its cascades are computed, so they
+        see the state the designer asked about, and are reported in plan
+        order followed by one note per cascaded step.  The whole call is
+        one transaction: validation runs once at the end, and any
+        exception undoes every applied step.
+        """
+        concept_id = concept.identifier if concept is not None else None
+        with self._transaction() as entries:
+            for operation in operations:
+                if concept is not None:
+                    check_admissible(operation, concept.kind)
+                cautions: list[tuple[SchemaOperation, list[Feedback]]] = []
+
+                def caution(step: SchemaOperation) -> None:
+                    cautions.append((step, cautions_for(self.schema, step)))
+
+                plan, undos = expand_applying(
+                    self.schema, operation, self.context,
+                    before_step=caution if feedback else None,
+                    propagate=propagate,
+                )
+                entries.append(LogEntry(
+                    requested=operation,
+                    plan=plan,
+                    undos=undos,
+                    concept_id=concept_id,
+                    feedback=(
+                        _feedback(operation, plan, cautions) if feedback else []
+                    ),
+                    propagated=propagate,
+                ))
+                self._note_scopes(plan)
+        self._redo_stack.clear()
         return entries
 
-    def _analyzed(self, plan, kind, normalize: bool):
-        """Plan analysis, memoized on (plan fingerprint, spine seq).
+    def _replay(self, recorded: list[LogEntry]) -> list[LogEntry]:
+        """Re-apply recorded entries step for step, as one transaction.
 
-        A rejected plan raises :class:`~repro.analysis.plan.
-        PlanPreflightError` *before* anything mutates, so the schema's
-        spine seq is unchanged on retry and the (deterministic) analysis
-        can be reused wholesale -- it is ~19% of batched apply time
-        (BENCH_PR5.json ``plan_analyze_fraction``).  Any mutation bumps
-        the seq and naturally invalidates the memo.  Hits and misses are
-        counted in ``Schema.stats()`` (``analysis.hits`` / ``.misses``).
+        The steps were expanded when first applied, so they run as they
+        are: no cascades are recomputed and no cautions evaluated; each
+        fresh entry keeps the original feedback and ``propagated`` flag.
+        Shared by :meth:`redo` and ``fork(at=...)``.
         """
-        from repro.analysis.plan import analyze_plan
+        with self._transaction() as entries:
+            for entry in recorded:
+                fresh = replace(entry, undos=[])
+                entries.append(fresh)
+                for step in entry.plan:
+                    fresh.undos.append(step.apply(self.schema, self.context))
+                self._note_scopes(entry.plan)
+        return entries
 
+    @contextmanager
+    def _transaction(self) -> Iterator[list[LogEntry]]:
+        """Commit the entries the block collects, or none of them.
+
+        Yields the list the block appends new entries to.  If the block
+        raises -- anything, not only an operation's rejection -- every
+        undo those entries hold runs, newest first (their scopes noted
+        again, as :meth:`undo_last` does), and the exception propagates
+        with the schema, history and issues as they were.  Otherwise the
+        entries are logged and validation runs once.
+        """
+        entries: list[LogEntry] = []
+        try:
+            yield entries
+        except BaseException:
+            for entry in reversed(entries):
+                for undo in reversed(entry.undos):
+                    undo()
+                self._note_scopes(entry.plan)
+            raise
+        self.log.extend(entries)
+        self._refresh_issues()
+
+    def _vetted(
+        self,
+        plan: list[SchemaOperation],
+        concept: ConceptSchema | None,
+        normalize: bool,
+    ) -> list[SchemaOperation]:
+        """The normalized plan, once pre-flight finds it clean.
+
+        Raises :class:`~repro.analysis.plan.PlanPreflightError` before
+        anything mutates, so the schema's spine seq is unchanged on
+        retry and the (deterministic) analysis is memoized on
+        (plan fingerprint, concept kind, normalize flag, spine seq):
+        retrying a rejected plan reuses it instead of re-running the
+        whole static analysis.  Any mutation bumps the seq and naturally
+        invalidates the memo.  Hits and misses are counted in
+        ``Schema.stats()`` (``analysis.hits`` / ``.misses``).
+        """
+        from repro.analysis.plan import PlanPreflightError, analyze_plan
+
+        kind = concept.kind if concept is not None else None
         key = (tuple(op.to_text() for op in plan), kind, normalize)
         log = self.schema.log
         memo = self._analysis_memo
@@ -276,121 +373,16 @@ class Workspace:
             and memo[2] == log.seq
         ):
             self.schema.note_analysis_cache(True)
-            return memo[3]
-        self.schema.note_analysis_cache(False)
-        analysis = analyze_plan(
-            plan, self.schema, kind=kind, normalize=normalize, edges=False
-        )
-        self._analysis_memo = (key, log, log.seq, analysis)
-        return analysis
-
-    def apply_plan_compiled(
-        self,
-        plan: list[SchemaOperation],
-        concept: ConceptSchema | None = None,
-        normalize: bool = True,
-    ) -> list[LogEntry]:
-        """The fused compiled-plan path: one mutation pass, one validate.
-
-        Same pre-flight and normalization as :meth:`apply_plan`, but the
-        clean, batched plan is then *compiled down* to a single pass:
-        every op (with its cascades) mutates the live schema through
-        :func:`~repro.knowledge.propagation.expand_applying` exactly as
-        the per-op path does, and validation runs once at the end
-        instead of once per batch.  Designer feedback (cautions,
-        cascade notes) is skipped -- this path is for bulk application
-        where the pre-flight already vetted the plan, e.g. replaying a
-        reviewed script onto a 10k-type schema.
-
-        The emitted ``MutationRecord`` stream is identical to the
-        per-op path's, record for record: all mutation flows through the
-        same ``step.apply`` calls inside ``expand_applying`` followed by
-        the same per-step scope notes (``tools/check_mutators.py``
-        AST-checks this path mutates through no other channel).  On a
-        dynamic failure mid-pass, every applied undo closure runs in
-        reverse and the error is re-raised with the history untouched.
-        """
-        from repro.analysis.plan import PlanPreflightError
-
-        kind = concept.kind if concept is not None else None
-        analysis = self._analyzed(plan, kind, normalize)
+            analysis = memo[3]
+        else:
+            self.schema.note_analysis_cache(False)
+            analysis = analyze_plan(
+                plan, self.schema, kind=kind, normalize=normalize, edges=False
+            )
+            self._analysis_memo = (key, log, log.seq, analysis)
         if analysis.diagnostics:
             raise PlanPreflightError(analysis.diagnostics)
-        concept_id = concept.identifier if concept else None
-        entries: list[LogEntry] = []
-        try:
-            for batch in analysis.batches:
-                for operation in batch:
-                    if concept is not None:
-                        check_admissible(operation, concept.kind)
-                    step_plan, undos = expand_applying(
-                        self.schema, operation, self.context
-                    )
-                    entries.append(
-                        LogEntry(
-                            requested=operation,
-                            plan=step_plan,
-                            undos=undos,
-                            concept_id=concept_id,
-                            feedback=[],
-                            propagated=True,
-                        )
-                    )
-                    self._note_scopes(step_plan)
-        except (OperationError, SchemaError):
-            for entry in reversed(entries):
-                for undo in reversed(entry.undos):
-                    undo()
-                self._note_scopes(entry.plan)
-            self._refresh_issues()
-            raise
-        self.log.extend(entries)
-        self._redo_stack.clear()
-        self._refresh_issues()
-        return entries
-
-    def _apply_fast(
-        self, operation: SchemaOperation, concept: ConceptSchema | None
-    ) -> LogEntry:
-        """:meth:`apply` minus the scratch-copy expansion and validation.
-
-        Used by :meth:`apply_plan` only: cascades are computed against
-        the live schema and applied in the same breath
-        (:func:`~repro.knowledge.propagation.expand_applying`), which is
-        safe there because the op either completes with undo closures
-        recorded or rolls itself back.  Cautions are consequently
-        evaluated against the state each step actually applies to, and
-        the caller is responsible for refreshing validation.
-        """
-        if concept is not None:
-            check_admissible(operation, concept.kind)
-        feedback: list[Feedback] = []
-        plan, undos = expand_applying(
-            self.schema, operation, self.context,
-            before_step=lambda step: feedback.extend(
-                cautions_for(self.schema, step)
-            ),
-        )
-        for step in plan:
-            if step is not operation:
-                feedback.append(
-                    info(
-                        "cascaded", step.to_text(),
-                        f"performed automatically for {operation.op_name}",
-                    )
-                )
-        entry = LogEntry(
-            requested=operation,
-            plan=plan,
-            undos=undos,
-            concept_id=concept.identifier if concept else None,
-            feedback=feedback,
-            propagated=True,
-        )
-        self.log.append(entry)
-        self._redo_stack.clear()
-        self._note_scopes(plan)
-        return entry
+        return analysis.normalized
 
     def preview(self, plan: list[SchemaOperation], concept=None):
         """What data a pending plan newly admits or forbids; mutates nothing.
@@ -406,40 +398,6 @@ class Workspace:
         from repro.examples.preview import preview_plan
 
         return preview_plan(self, plan, concept)
-
-    def apply_composite(
-        self,
-        composite,
-        concept: ConceptSchema | None = None,
-        propagate: bool = True,
-    ) -> list[LogEntry]:
-        """Apply a composite operation (a macro of primitives).
-
-        Each primitive of the expanded plan is applied -- and logged --
-        through the normal :meth:`apply` path, so propagation, feedback,
-        undo, and persistence all keep working at the primitive level.
-        If a later primitive fails, the earlier ones are undone and the
-        error re-raised, leaving the workspace unchanged.
-        """
-        plan = composite.expand_plan(self.schema, self.context)
-        entries: list[LogEntry] = []
-        try:
-            for operation in plan:
-                entries.append(self.apply(operation, concept, propagate))
-        except (OperationError, SchemaError):
-            for _ in entries:
-                self.undo_last()
-            self._redo_stack.clear()
-            raise
-        return entries
-
-    def apply_kind_checked(
-        self, operation: SchemaOperation, kind: ConceptKind,
-        propagate: bool = True,
-    ) -> LogEntry:
-        """Apply with a bare concept *kind* instead of a concept object."""
-        check_admissible(operation, kind)
-        return self.apply(operation, concept=None, propagate=propagate)
 
     # ------------------------------------------------------------------
     # History
@@ -470,7 +428,7 @@ class Workspace:
     def redo(self) -> LogEntry | None:
         """Re-apply the most recently undone step; returns the new entry.
 
-        Mirrors :meth:`apply`: if any plan step fails mid-redo, the
+        Atomic like :meth:`apply`: if any plan step fails mid-redo, the
         already re-applied steps are rolled back and the entry stays on
         the redo stack, leaving the workspace exactly as before the
         call.  The fresh log entry keeps the original ``propagated``
@@ -478,27 +436,8 @@ class Workspace:
         """
         if not self._redo_stack:
             return None
-        entry = self._redo_stack.pop()
-        undos: list[Undo] = []
-        try:
-            for step in entry.plan:
-                undos.append(step.apply(self.schema, self.context))
-        except (OperationError, SchemaError):
-            for undo in reversed(undos):
-                undo()
-            self._redo_stack.append(entry)
-            raise
-        fresh = LogEntry(
-            requested=entry.requested,
-            plan=entry.plan,
-            undos=undos,
-            concept_id=entry.concept_id,
-            feedback=entry.feedback,
-            propagated=entry.propagated,
-        )
-        self.log.append(fresh)
-        self._note_scopes(fresh.plan)
-        self._refresh_issues()
+        (fresh,) = self._replay(self._redo_stack[-1:])
+        self._redo_stack.pop()
         return fresh
 
     # ------------------------------------------------------------------
@@ -617,22 +556,7 @@ class Workspace:
             name or f"{self.schema.name}_fork",
             validate_each_step=self.validate_each_step,
         )
-        for entry in self.log[: at.depth]:
-            undos: list[Undo] = []
-            for step in entry.plan:
-                undos.append(step.apply(branch.schema, branch.context))
-            branch.log.append(
-                LogEntry(
-                    requested=entry.requested,
-                    plan=entry.plan,
-                    undos=undos,
-                    concept_id=entry.concept_id,
-                    feedback=entry.feedback,
-                    propagated=entry.propagated,
-                )
-            )
-            branch._note_scopes(entry.plan)
-        branch._refresh_issues()
+        branch._replay(self.log[: at.depth])
         return branch
 
     def _fork_by_rewind(

@@ -817,8 +817,8 @@ def _check_undo_redo_identity(workspace):
 @workspace_invariant(
     "plan-analyzer-differential",
     "DESIGN 5f: pre-flight diagnostics are exactly the dynamically "
-    "failing ops -- valid plans analyze clean, batched apply_plan "
-    "equals naive per-op application, and every diagnostic on a "
+    "failing ops -- valid plans analyze clean, apply_plan equals "
+    "naive per-op application, and every diagnostic on a "
     "perturbed plan reproduces as a real failure",
     tier=TIER_EXPENSIVE,
 )
@@ -849,10 +849,10 @@ def _check_plan_analyzer(workspace):
     except (OperationError, SchemaError) as error:
         yield f"pre-flight-clean generated plan failed to apply: {error}"
         return
-    batched = Workspace(schema, "plan_batched", validate_each_step=False)
-    batched.apply_plan(plan)
+    planned = Workspace(schema, "plan_planned", validate_each_step=False)
+    planned.apply_plan(plan)
     if schema_fingerprint(naive.schema) != schema_fingerprint(
-        batched.schema
+        planned.schema
     ):
         yield "apply_plan diverged from naive per-op application"
     if len(plan) < 2:

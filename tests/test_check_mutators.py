@@ -1,13 +1,14 @@
 """Tests for the spine-emission / CoW-barrier / compiled-plan checks.
 
-The checks live in :mod:`repro.lint.passes.spine` (the
-``tools/check_mutators.py`` shim re-exports them); these tests drive
+The checks live in :mod:`repro.lint.passes.spine`; these tests drive
 them over in-memory fixture snippets that must pass and must fail --
-missing ``_emit``, ``_cow_barrier`` not the first statement, and a
-compiled-plan helper writing a container directly -- plus the shim CLI
-on the real tree.
+missing ``_emit``, ``_cow_barrier`` not the first statement, an apply
+helper writing a container directly, and an ``apply`` that runs its
+steps itself instead of through ``expand_applying`` -- plus
+``python -m repro.lint --pass spine`` on the real tree.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +21,6 @@ from repro.lint.passes.spine import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-SHIM = REPO_ROOT / "tools" / "check_mutators.py"
 
 
 GOOD_CLASS = '''
@@ -73,9 +73,19 @@ class Model:
         self._emit("set_label", (), {})
 '''
 
-GOOD_WORKSPACE = '''
-class Workspace:
-    def apply_plan_compiled(self, plan):
+#: The three other apply entries every fixture Workspace shares; they
+#: run through the pipeline, so only the entry under test can fail.
+PIPELINE_ENTRIES = '''
+    def apply(self, operation):
+        return self._run([operation])
+
+    def apply_composite(self, composite):
+        return self._run(composite.plan)
+
+    def apply_plan(self, plan):
+        return self._run(plan)
+
+    def _run(self, plan):
         for step_plan in self.expand_applying(plan):
             self._note_scopes(step_plan)
 
@@ -85,6 +95,12 @@ class Workspace:
     def expand_applying(self, plan):
         yield plan
 '''
+
+GOOD_WORKSPACE = '''
+class Workspace:
+    def apply_plan_compiled(self, plan):
+        return self._run(plan)
+''' + PIPELINE_ENTRIES
 
 DIRTY_WORKSPACE = '''
 class Workspace:
@@ -93,21 +109,45 @@ class Workspace:
             self._note_scopes(step_plan)
             self._shortcut(step_plan)
 
-    def _note_scopes(self, step_plan):
-        self.notes.extend(step_plan.scopes)
-
     def _shortcut(self, step_plan):
         self.schema.interfaces[step_plan.name] = step_plan.interface
-
-    def expand_applying(self, plan):
-        yield plan
-'''
+''' + PIPELINE_ENTRIES
 
 MISSING_CALLS_WORKSPACE = '''
 class Workspace:
     def apply_plan_compiled(self, plan):
         for step in plan.steps:
             step.apply(self.schema)
+'''
+
+#: ``apply`` as it was before the one pipeline: expand on a scratch
+#: copy, then run each step itself -- every other entry is clean.
+DIRECT_APPLY_WORKSPACE = '''
+class Workspace:
+    def apply_plan_compiled(self, plan):
+        return self._run(plan)
+
+    def apply(self, operation):
+        plan = expand(self.schema, operation, self.context)
+        for step in plan:
+            step.apply(self.schema, self.context)
+        self._note_scopes(plan)
+
+    def apply_composite(self, composite):
+        return self._run(composite.plan)
+
+    def apply_plan(self, plan):
+        return self._run(plan)
+
+    def _run(self, plan):
+        for step_plan in self.expand_applying(plan):
+            self._note_scopes(step_plan)
+
+    def _note_scopes(self, step_plan):
+        self.notes.extend(step_plan.scopes)
+
+    def expand_applying(self, plan):
+        yield plan
 '''
 
 
@@ -174,6 +214,29 @@ def test_compiled_plan_missing_required_calls_is_caught():
     messages = " ".join(f.message for f in findings)
     assert "expand_applying" in messages
     assert "_note_scopes" in messages
+    # the other three entries are missing altogether
+    assert {
+        f.symbol for f in findings if f.message.endswith("not found")
+    } == {
+        "fixture:Workspace.apply",
+        "fixture:Workspace.apply_composite",
+        "fixture:Workspace.apply_plan",
+    }
+
+
+def test_apply_running_steps_itself_is_caught():
+    findings = compiled_plan_findings(
+        _codebase(DIRECT_APPLY_WORKSPACE), "fixture"
+    )
+    assert {f.symbol for f in findings} == {"fixture:Workspace.apply"}
+    messages = [f.message for f in findings]
+    assert any("step.apply directly" in m for m in messages)
+    assert any("never reaches expand_applying" in m for m in messages)
+    direct = next(f for f in findings if "directly" in f.message)
+    assert direct.rule == "compiled-plan"
+    assert direct.line == DIRECT_APPLY_WORKSPACE.splitlines().index(
+        "            step.apply(self.schema, self.context)"
+    ) + 1
 
 
 def test_real_tree_is_clean():
@@ -184,10 +247,13 @@ def test_real_tree_is_clean():
     assert compiled_plan_findings(codebase) == []
 
 
-def test_shim_cli_passes_on_current_tree():
+def test_spine_cli_passes_on_current_tree():
     result = subprocess.run(
-        [sys.executable, str(SHIM)],
+        [sys.executable, "-m", "repro.lint", "--pass", "spine"],
         capture_output=True, text=True, cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "public mutators all emit records" in result.stdout
+    assert "repro.lint: 0 error(s)" in result.stdout
+    # baseline entries of passes that did not run are not stale
+    assert "0 stale" in result.stdout

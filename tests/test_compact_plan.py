@@ -4,8 +4,8 @@ Pins the two workspace-level contracts the compact-representation work
 introduced:
 
 * :meth:`Workspace.apply_plan_compiled` is behaviourally identical to
-  the batched per-op path -- same final schema, same per-entry plans,
-  same ``MutationRecord`` stream -- while validating once per plan.
+  :meth:`Workspace.apply_plan` -- same final schema, same per-entry
+  plans, same ``MutationRecord`` stream -- minus designer feedback.
 * :meth:`Workspace.apply_plan` / ``apply_plan_compiled`` memoize their
   static pre-flight analysis on (plan fingerprint, spine seq): retrying
   a rejected plan on an unchanged schema is a cache hit, visible in
@@ -64,8 +64,8 @@ class TestCompiledPlanParity:
                 for r in log.records_since(since)
             ]
 
-        # The per-op workspace applied without batching/normalization,
-        # so compare against a batched apply_plan run instead.
+        # The per-op workspace applied without normalization, so
+        # compare against an apply_plan run instead.
         batched_schema = schema.copy("batched")
         batched = Workspace(batched_schema, name="batched")
         batched_base = batched_schema.log.seq

@@ -345,7 +345,7 @@ def test_constructor_typed_receiver_is_exempt():
 
 def test_silent_writes_on_shipped_tree_are_all_baselined():
     from repro.lint.findings import Baseline
-    from repro.lint.shims import DEFAULT_BASELINE
+    from repro.lint.__main__ import DEFAULT_BASELINE
 
     codebase = Codebase.load()
     findings = silent_write_findings(codebase)

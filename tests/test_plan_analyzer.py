@@ -3,8 +3,7 @@
 These pin the PR's tentpole contract: effect signatures stay consistent
 with ``validation_scope()``, pre-flight diagnostics are exact (every
 one reproduces as a dynamic failure), normalization rewrites preserve
-what a plan computes, batching preserves execution order, and
-``Workspace.apply_plan`` is all-or-nothing.
+what a plan computes, and ``Workspace.apply_plan`` is all-or-nothing.
 """
 
 import pytest
@@ -15,7 +14,6 @@ from repro.analysis.plan import (
     conflict_edges,
     main as plan_main,
     normalize_plan,
-    partition_batches,
 )
 from repro.concepts.base import ConceptKind
 from repro.model.errors import SchemaError
@@ -239,33 +237,13 @@ class TestConflictGraphAndBatches:
         )
         assert any("read-after-write" in edge.reason for edge in edges)
 
-    def test_batches_concatenate_to_plan(self, small):
-        _, plan = _generated_corpus()
-        batches = partition_batches(plan)
-        flattened = [operation for batch in batches for operation in batch]
-        assert flattened == list(plan)
-
-    def test_conflicting_ops_split_batches(self):
-        plan = [
-            AddAttribute("Person", scalar("long"), "a"),
-            AddAttribute("Person", scalar("long"), "b"),
-        ]
-        assert [len(b) for b in partition_batches(plan)] == [1, 1]
-
-    def test_commuting_ops_share_a_batch(self):
-        plan = [
-            AddAttribute("Person", scalar("long"), "a"),
-            AddAttribute("Department", scalar("long"), "b"),
-        ]
-        assert [len(b) for b in partition_batches(plan)] == [2]
-
     def test_edges_skippable(self, small):
         analysis = analyze_plan(
             [AddAttribute("Person", scalar("long"), "a")], small,
             edges=False,
         )
         assert analysis.edges == []
-        assert analysis.batches  # batching unaffected
+        assert analysis.is_clean()
 
 
 class TestNormalization:
@@ -361,12 +339,12 @@ class TestApplyPlan:
         naive = Workspace(schema, name="naive")
         for operation in plan:
             naive.apply(operation)
-        batched = Workspace(schema, name="batched")
-        entries = batched.apply_plan(plan)
+        planned = Workspace(schema, name="planned")
+        entries = planned.apply_plan(plan)
         assert schema_fingerprint(naive.schema) == schema_fingerprint(
-            batched.schema
+            planned.schema
         )
-        assert len(entries) == batched.undo_depth
+        assert len(entries) == planned.undo_depth
 
     def test_preflight_rejection_leaves_workspace_untouched(self, workspace):
         before = schema_fingerprint(workspace.schema)
@@ -430,7 +408,6 @@ class TestCLI:
         out = capsys.readouterr().out
         assert code == 0
         assert "pre-flight: clean" in out
-        assert "batches:" in out
 
     def test_diagnosed_script_exits_nonzero(self, tmp_path, capsys):
         from tests.conftest import SMALL_ODL

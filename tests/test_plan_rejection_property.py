@@ -1,10 +1,9 @@
 """Property test: every plan-application path rejects plans identically.
 
-PR 7 satellite.  For randomly generated *rejected* plans, the batched
-``apply_plan``, the fused ``apply_plan_compiled``, and naive per-op
-application must agree:
+For randomly generated *rejected* plans, ``apply_plan``,
+``apply_plan_compiled``, and naive per-op application must agree:
 
-* both batched paths raise :class:`PlanPreflightError` with the same
+* both plan paths raise :class:`PlanPreflightError` with the same
   diagnostics (same indices, codes, and messages);
 * a rejected plan leaves the schema fingerprint, the op log, and the
   redo stack exactly as they were (atomicity);

@@ -1,16 +1,27 @@
 """Unit tests for the workspace (apply / undo / redo / log)."""
 
+import itertools
+
 import pytest
 
+from repro.catalog import SCHEMA_BUILDERS
 from repro.concepts.base import ConceptKind
 from repro.concepts.decompose import decompose
+from repro.knowledge.propagation import expand
 from repro.model.attributes import Attribute
 from repro.model.fingerprint import schema_fingerprint, schemas_equal
+from repro.model.interface import InterfaceDef
 from repro.model.types import NamedType, scalar
+from repro.model.validation import validate_schema
 from repro.ops.attribute_ops import AddAttribute, DeleteAttribute
-from repro.ops.base import ConstraintViolation, InadmissibleOperationError
+from repro.ops.base import (
+    ConstraintViolation,
+    InadmissibleOperationError,
+    OperationContext,
+)
+from repro.ops.composite import CompositeOperation
 from repro.ops.type_ops import DeleteTypeDefinition
-from repro.ops.type_property_ops import AddSupertype
+from repro.ops.type_property_ops import AddSupertype, DeleteSupertype
 from repro.repository.workspace import Workspace
 
 
@@ -161,3 +172,178 @@ class TestHistory:
     def test_history_describes_cascades(self, workspace):
         workspace.apply(DeleteTypeDefinition("Department"))
         assert "(+1 cascaded)" in workspace.history()
+
+
+# ----------------------------------------------------------------------
+# One apply pipeline: the same feedback and the same atomicity from
+# every entry point
+# ----------------------------------------------------------------------
+
+
+class _DeleteOne(CompositeOperation):
+    """A composite whose plan is a single primitive."""
+
+    composite_name = "delete_one"
+
+    def __init__(self, operation):
+        self.operation = operation
+
+    def expand_plan(self, schema, context=None):
+        return [self.operation]
+
+    def describe(self):
+        return f"delete_one({self.operation.to_text()})"
+
+
+def _codes(entries):
+    return [(note.code, note.subject) for entry in entries for note in entry.feedback]
+
+
+#: ``delete_type_definition(Person)`` on the university schema: each
+#: step's cautions in plan order, then one note per cascade.
+PERSON_DELETE_FEEDBACK = [
+    ("isa-rewiring", "Student ISA Person"),
+    ("isa-rewiring", "Faculty ISA Person"),
+    ("delete-supertype-of", "Person"),
+    ("delete-cascade-extent", "Person"),
+    ("cascaded", "delete_supertype(Student, Person)"),
+    ("cascaded", "delete_supertype(Faculty, Person)"),
+]
+
+
+class TestFeedback:
+    def test_apply(self, university):
+        entry = Workspace(university).apply(DeleteTypeDefinition("Person"))
+        assert _codes([entry]) == PERSON_DELETE_FEEDBACK
+
+    def test_apply_plan(self, university):
+        entries = Workspace(university).apply_plan(
+            [DeleteTypeDefinition("Person")]
+        )
+        assert _codes(entries) == PERSON_DELETE_FEEDBACK
+
+    def test_apply_composite(self, university):
+        entries = Workspace(university).apply_composite(
+            _DeleteOne(DeleteTypeDefinition("Person"))
+        )
+        assert _codes(entries) == PERSON_DELETE_FEEDBACK
+
+    def test_compiled_plan_skips_feedback(self, university):
+        entries = Workspace(university).apply_plan_compiled(
+            [DeleteTypeDefinition("Person")]
+        )
+        assert _codes(entries) == []
+        assert [step.to_text() for step in entries[0].plan] == [
+            "delete_supertype(Student, Person)",
+            "delete_supertype(Faculty, Person)",
+            "delete_type_definition(Person)",
+        ]
+
+
+def _catalog_deletes():
+    """Every type, attribute and supertype delete in every catalog schema."""
+    cases = []
+    for name, build in SCHEMA_BUILDERS.items():
+        for interface in build():
+            typename = interface.name
+            operations = [DeleteTypeDefinition(typename)]
+            operations += [
+                DeleteAttribute(typename, attribute)
+                for attribute in interface.attributes
+            ]
+            operations += [
+                DeleteSupertype(typename, supertype)
+                for supertype in interface.supertypes
+            ]
+            cases += [
+                pytest.param(name, operation, id=f"{name}:{operation.to_text()}")
+                for operation in operations
+            ]
+    return cases
+
+
+@pytest.mark.parametrize("catalog, operation", _catalog_deletes())
+def test_apply_and_apply_plan_agree_on_catalog_deletes(catalog, operation):
+    """Same plan and feedback from ``apply`` and ``apply_plan([op])``,
+    and the plan is the one the read-only planner ``expand`` predicts."""
+    schema = SCHEMA_BUILDERS[catalog]()
+    entry = Workspace(schema).apply(operation)
+    (planned,) = Workspace(schema).apply_plan([operation], normalize=False)
+    assert planned.plan == entry.plan
+    assert _codes([planned]) == _codes([entry])
+    assert expand(schema, operation, OperationContext(reference=schema)) == (
+        entry.plan
+    )
+
+
+class TestAtomicUnderAnyException:
+    """A mutator failing mid-cascade leaves no trace, whatever it raises."""
+
+    ENTRIES = {
+        "apply": lambda ws, op: ws.apply(op),
+        "apply_plan": lambda ws, op: ws.apply_plan([op]),
+        "apply_plan_compiled": lambda ws, op: ws.apply_plan_compiled([op]),
+        "apply_composite": lambda ws, op: ws.apply_composite(_DeleteOne(op)),
+    }
+
+    @staticmethod
+    def _fail_second_remove_supertype(monkeypatch, workspace):
+        # delete_type_definition(Person) cascades into two
+        # delete_supertype steps; the second one's mutator raises.  Only
+        # calls on the workspace's own interfaces count, so a planner
+        # that rehearses the plan on a scratch copy cannot absorb the
+        # failure.
+        original = InterfaceDef.remove_supertype
+        calls = itertools.count(1)
+
+        def remove_supertype(self, *args, **kwargs):
+            live = workspace.schema.interfaces.get(self.name) is self
+            if live and next(calls) == 2:
+                raise RuntimeError("injected failure")
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(InterfaceDef, "remove_supertype", remove_supertype)
+
+    @staticmethod
+    def _state(workspace):
+        return (
+            schema_fingerprint(workspace.schema),
+            list(workspace.issues),
+            workspace.undo_depth,
+            workspace.redo_depth,
+        )
+
+    def _assert_restored(self, workspace, before):
+        assert self._state(workspace) == before
+        assert workspace.schema.index.adjacency.check_integrity() == []
+        assert workspace.schema.validation.validate() == validate_schema(
+            workspace.schema
+        )
+
+    @pytest.mark.parametrize("entry_point", sorted(ENTRIES))
+    def test_apply_entries(self, university, monkeypatch, entry_point):
+        workspace = Workspace(university)
+        workspace.apply(AddAttribute("Student", scalar("date"), "enrolled"))
+        workspace.apply(AddAttribute("Faculty", scalar("date"), "hired"))
+        workspace.undo_last()  # one step to undo, one to redo
+        before = self._state(workspace)
+        self._fail_second_remove_supertype(monkeypatch, workspace)
+        with pytest.raises(RuntimeError, match="injected"):
+            self.ENTRIES[entry_point](workspace, DeleteTypeDefinition("Person"))
+        self._assert_restored(workspace, before)
+        monkeypatch.undo()
+        workspace.apply(DeleteTypeDefinition("Person"))  # still usable
+        assert "Person" not in workspace.schema
+
+    def test_redo(self, university, monkeypatch):
+        workspace = Workspace(university)
+        workspace.apply(DeleteTypeDefinition("Person"))
+        workspace.undo_last()
+        before = self._state(workspace)
+        self._fail_second_remove_supertype(monkeypatch, workspace)
+        with pytest.raises(RuntimeError, match="injected"):
+            workspace.redo()
+        self._assert_restored(workspace, before)
+        monkeypatch.undo()
+        assert workspace.redo() is not None
+        assert "Person" not in workspace.schema

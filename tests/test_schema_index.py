@@ -90,8 +90,8 @@ class TestIndexedQueriesMatchScans:
 
     def test_stats_exposes_index_counters(self, workload_schema):
         stats = workload_schema.stats()
-        for key in ("index_hits", "index_misses", "index_rebuilds",
-                    "index_generation"):
+        for key in ("index.hits", "index.misses", "index.rebuilds",
+                    "index.generation"):
             assert key in stats
 
 

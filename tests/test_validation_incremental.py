@@ -69,9 +69,9 @@ class TestWorkspaceLoop:
             workspace.apply(operation)
         stats = workspace.schema.stats()
         # one initial build, then dirty-set passes only
-        assert stats["validation_full"] == 1
-        assert stats["validation_incremental"] >= 30
-        assert stats["validation_reused"] > stats["validation_revalidated"]
+        assert stats["validation.full"] == 1
+        assert stats["validation.incremental"] >= 30
+        assert stats["validation.reused"] > stats["validation.revalidated"]
 
 
 MULTI_ROOT_ODL = """
