@@ -1,4 +1,4 @@
-"""Index scaling: memoized graph queries vs the full-scan baseline.
+"""Index scaling: store-backed graph queries vs the full-scan baseline.
 
 The paper's pipeline (Figure 1) asks the schema graph the same questions
 over and over -- subtypes for every wagon wheel, descendants for every
@@ -202,12 +202,11 @@ def test_bench_index_counters_accumulate(size):
     stats = schema.index.stats()
     assert stats["misses"] >= 1
     assert stats["hits"] >= len(schema) - 1
-    # The ISA closure is folded incrementally from the spine, so a
-    # mutation costs a fold, not a rebuild; the *ordered* subtype family
-    # is still stamp-invalidated and rebuilds on the next query.
+    # Every query answers from the spine-fed store, so a mutation costs
+    # a fold, not a rebuild -- ordered subtype answers included.
     schema.subtypes(schema.type_names()[0])
+    rebuilds = schema.index.stats()["rebuilds"]
     schema.get(schema.type_names()[0]).add_supertype("NoSuchSupertype")
     schema.descendants(schema.type_names()[-1])
-    assert schema.index.stats()["rebuilds"] == 0
     schema.subtypes(schema.type_names()[0])
-    assert schema.index.stats()["rebuilds"] >= 1
+    assert schema.index.stats()["rebuilds"] == rebuilds

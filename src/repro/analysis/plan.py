@@ -42,6 +42,7 @@ import sys
 from dataclasses import dataclass, field
 
 from repro.concepts.base import ConceptKind
+from repro.model.mutation import Aspect
 from repro.model.schema import Schema
 from repro.ops.attribute_ops import (
     AddAttribute,
@@ -49,7 +50,7 @@ from repro.ops.attribute_ops import (
     ModifyAttributeType,
 )
 from repro.ops.base import OperationError, SchemaOperation
-from repro.ops.effects import EffectSignature
+from repro.ops.effects import EffectSignature, meeting_aspects
 from repro.ops.operation_ops import AddOperation, DeleteOperation
 from repro.ops.registry import is_admissible
 from repro.ops.type_ops import AddTypeDefinition, DeleteTypeDefinition
@@ -302,13 +303,39 @@ def _apply_extent_effect(
 def conflict_edges(
     signatures: list[EffectSignature],
 ) -> list[ConflictEdge]:
-    """Def-use/conflict graph: one edge per non-commuting ordered pair."""
+    """Def-use/conflict graph: one edge per non-commuting ordered pair.
+
+    Two signatures can only conflict through a concrete name both
+    mention, or through a wildcard cell on one side meeting a cell of a
+    compatible aspect (:func:`~repro.ops.effects.meeting_aspects`) on
+    the other.  So each op is tested only against the earlier ops found
+    in those buckets, not against all of them; edges come out ordered
+    by (later, earlier), as a double loop over every pair yields them.
+    """
     edges: list[ConflictEdge] = []
-    for later in range(len(signatures)):
-        for earlier in range(later):
-            reason = signatures[earlier].conflicts_with(signatures[later])
+    by_name: dict[str, list[int]] = {}
+    # aspect -> earlier ops with a cell of that aspect (any name)
+    by_aspect: dict[Aspect, list[int]] = {}
+    # aspect -> earlier ops with a wildcard cell of that aspect
+    wild_by_aspect: dict[Aspect, list[int]] = {}
+    for later, signature in enumerate(signatures):
+        found: set[int] = set()
+        for name in signature.mentioned_names():
+            found.update(by_name.get(name, ()))
+        for aspect in meeting_aspects(signature.wildcard_aspects):
+            found.update(by_aspect.get(aspect, ()))
+        for aspect in meeting_aspects(signature.cell_aspects):
+            found.update(wild_by_aspect.get(aspect, ()))
+        for earlier in sorted(found):
+            reason = signatures[earlier].conflicts_with(signature)
             if reason is not None:
                 edges.append(ConflictEdge(earlier, later, reason))
+        for name in signature.mentioned_names():
+            by_name.setdefault(name, []).append(later)
+        for aspect in signature.cell_aspects:
+            by_aspect.setdefault(aspect, []).append(later)
+        for aspect in signature.wildcard_aspects:
+            wild_by_aspect.setdefault(aspect, []).append(later)
     return edges
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.concepts.base import ConceptKind, ConceptSchema
+from repro.model.relationships import RelationshipKind
 from repro.model.schema import Schema
 
 
@@ -107,26 +108,33 @@ def extract_aggregation_hierarchy(
     type-constructor extension, see :func:`constructor_edges`).
     """
     schema.get(root)  # raise early on unknown types
-    explicit = [
-        (whole, part, end.name) for whole, part, end in schema.part_of_edges()
-    ]
-    all_edges = explicit + (
-        constructor_edges(schema) if include_constructors else []
-    )
-    children: dict[str, list[tuple[str, str]]] = {}
-    for whole, part, path_name in all_edges:
-        children.setdefault(whole, []).append((part, path_name))
+    implicit = constructor_edges(schema) if include_constructors else []
+    implicit_parts: dict[str, list[str]] = {}
+    for whole, part, _ in implicit:
+        implicit_parts.setdefault(whole, []).append(part)
     members = {root}
     frontier = [root]
     while frontier:
         whole = frontier.pop()
-        for part, _ in children.get(whole, []):
+        for part in schema.parts(whole) + implicit_parts.get(whole, []):
             if part not in members:
                 members.add(part)
                 frontier.append(part)
+    # Explicit edges in declaration order, read off the members' own
+    # to-parts ends (dangling parts own none), then the implicit ones.
+    interfaces = schema.interfaces
+    explicit = [
+        (whole, end.target_type, end.name)
+        for whole in sorted(
+            (name for name in members if name in interfaces),
+            key=schema.index.declaration_key(),
+        )
+        for end in interfaces[whole].relationships.values()
+        if end.kind is RelationshipKind.PART_OF and end.is_to_many
+    ]
     edges = tuple(
         PartEdge(whole, part, path_name)
-        for whole, part, path_name in all_edges
+        for whole, part, path_name in explicit + implicit
         if whole in members and part in members
     )
     return AggregationHierarchy(

@@ -96,13 +96,13 @@ def extract_generalization_hierarchy(
     to the hierarchy of their own root.)
     """
     members = {root} | schema.descendants(root)
-    # Visit only the members (declaration order preserved via the index)
+    # Visit only the members, sorted by the index's position column,
     # instead of scanning every interface per root.
-    order = schema.index.declaration_order()
+    interfaces = schema.interfaces
     edges = tuple(
         IsaEdge(name, supertype)
-        for name in sorted(members, key=order.__getitem__)
-        for supertype in schema.get(name).supertypes
+        for name in sorted(members, key=schema.index.declaration_key())
+        for supertype in interfaces[name].supertypes
         if supertype in members
     )
     return GeneralizationHierarchy(

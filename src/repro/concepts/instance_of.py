@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.concepts.base import ConceptKind, ConceptSchema
+from repro.model.relationships import RelationshipKind
 from repro.model.schema import Schema
 
 
@@ -89,12 +90,18 @@ def extract_instance_of_hierarchy(
     members = {root}
     frontier = [root]
     edges: list[InstanceEdge] = []
-    instance_edges = schema.instance_of_edges()
+    interfaces = schema.interfaces
     while frontier:
         generic = frontier.pop()
-        for edge_generic, instance, end in instance_edges:
-            if edge_generic != generic:
+        interface = interfaces.get(generic)  # dangling instances own no ends
+        if interface is None:
+            continue
+        for end in interface.relationships_of_kind(
+            RelationshipKind.INSTANCE_OF
+        ):
+            if not end.is_to_many:
                 continue
+            instance = end.target_type
             edges.append(InstanceEdge(generic, instance, end.name))
             if instance not in members:
                 members.add(instance)

@@ -66,6 +66,7 @@ MUTATOR_ASPECTS: dict[str, frozenset[Aspect] | None] = {
     "add_relationship": None,
     "remove_relationship": None,
     "replace_relationship": None,
+    "reorder_relationships": None,
     "add_interface": frozenset({Aspect.MEMBERSHIP}),
     "remove_interface": frozenset({Aspect.MEMBERSHIP}),
     "reorder_interfaces": frozenset({Aspect.MEMBERSHIP}),

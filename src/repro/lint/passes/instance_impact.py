@@ -48,6 +48,7 @@ POPULATION_NEUTRAL_MUTATORS = frozenset(
         "replace_operation",
         "reorder_operations",
         "reorder_attributes",
+        "reorder_relationships",
         "reorder_interfaces",
     }
 )

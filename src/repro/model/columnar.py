@@ -15,9 +15,10 @@ This module stores the same three link families column-wise instead:
   dangling supertype).
 * :class:`ColumnarAdjacency` keeps four parallel columns of flat
   ``array('i')`` rows indexed by id -- supertype parents, ISA children,
-  outgoing references, and incoming references -- fed incrementally
-  from the mutation spine by exactly the record stream
-  :class:`~repro.model.index.SchemaIndex` already consumes.
+  outgoing references, and incoming references -- plus one flat
+  ``array('q')`` of declaration positions, all fed incrementally from
+  the mutation spine.  It is the one adjacency store every
+  :class:`~repro.model.index.SchemaIndex` query answers from.
 * :class:`DictAdjacency` is the retained dict implementation, kept as
   the executable reference specification: the columnar-vs-dict
   differential (``columnar-vs-dict-adjacency`` invariant and the
@@ -31,12 +32,23 @@ occurrence in any outgoing-reference row.  ``release`` returns the id
 to the free list only at zero, which makes reuse safe under dangling
 references; :meth:`ColumnarAdjacency.check_integrity` re-derives every
 refcount from the rows and is part of the differential contract.
+
+**Positions.**  ``add_interface`` gives a defined id the next position
+from a counter, ``reorder_interfaces`` renumbers every defined id, and
+a rebuild numbers them in schema order; so sorting ids by position
+reproduces ``list(schema.interfaces)`` (checked by
+:func:`adjacency_differential`) without walking the schema.
+
+**What has no column.**  Part-of and instance-of links live on their
+owner's to-many end.  Forward queries read those ends directly; reverse
+queries start from the incoming-reference rows, which already name
+every owner with an end targeting a type.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.model.mutation import MutationRecord, replayable_kind
 
@@ -86,6 +98,16 @@ class NameTable:
         else:
             self._refs[ident] += 1
         return ident
+
+    def seed(self, names: Iterable[str]) -> None:
+        """Intern distinct *names* into this empty table as ids
+        ``0..n-1``, one reference each (the bulk form of :meth:`acquire`
+        a rebuild uses)."""
+        if self._names:
+            raise RuntimeError("NameTable.seed needs an empty table")
+        self._names = list(names)
+        self._ids = dict(zip(self._names, range(len(self._names))))
+        self._refs = [1] * len(self._names)
 
     def release(self, ident: int) -> bool:
         """Drop one reference; True when the id was freed for reuse."""
@@ -143,13 +165,16 @@ class ColumnarAdjacency:
     * ``_refs_out[i]`` -- name-ids referenced by interface *i*
       (set semantics; ``InterfaceDef.referenced_type_names``);
     * ``_refs_in[i]``  -- interface ids of definitions referencing
-      name *i* (deduplicated).
+      name *i* (deduplicated);
+    * ``_position[i]`` -- declaration position of defined interface *i*
+      (only the relative order of defined ids is meaningful).
 
     Fed record-by-record through :meth:`observe` -- ISA kinds update the
-    parent/child columns eagerly, every other interface record marks
-    its owner pending so the reference columns re-derive lazily, and a
-    lossy record marks the whole store dirty for a scan rebuild --
-    exactly the protocol of the dict maps it replaces.
+    parent/child columns eagerly, ``add_interface`` takes the next
+    position, ``reorder_interfaces`` renumbers every position, every
+    other interface record marks its owner pending so the reference
+    columns re-derive lazily, and a lossy record marks the whole store
+    dirty for a scan rebuild.
 
     **Copy-on-write fork views (DESIGN.md 5j).**  :meth:`fork_view`
     hands a CoW fork an overlay copy: the outer columns, name table,
@@ -170,6 +195,8 @@ class ColumnarAdjacency:
         "_refs_out",
         "_refs_in",
         "_defined",
+        "_position",
+        "_next_position",
         "_pending",
         "_dirty",
         "rebuilds",
@@ -187,6 +214,8 @@ class ColumnarAdjacency:
         self._refs_out: list[array | None] = []
         self._refs_in: list[array | None] = []
         self._defined = bytearray()
+        self._position = array("q")
+        self._next_position = 0
         self._pending: set[str] = set()
         self._dirty = True
         self.rebuilds = 0
@@ -214,7 +243,9 @@ class ColumnarAdjacency:
             return
         name = record.interface
         if name is None:
-            if not replayable_kind(kind):
+            if kind == "reorder_interfaces":
+                self._reposition(record.payload["order"])
+            elif not replayable_kind(kind):
                 self.mark_dirty()
             return
         if kind == "add_interface":
@@ -240,6 +271,8 @@ class ColumnarAdjacency:
         self._refs_out = []
         self._refs_in = []
         self._defined = bytearray()
+        self._position = array("q")
+        self._next_position = 0
         self._pending = set()
         # A rebuild re-derives everything from this store's own schema,
         # so a fork view stops overlaying its base and owns all rows.
@@ -275,6 +308,7 @@ class ColumnarAdjacency:
             self._refs_out.extend([None] * grow)
             self._refs_in.extend([None] * grow)
             self._defined.extend(b"\0" * grow)
+            self._position.extend([0] * grow)
 
     def _release(self, ident: int) -> None:
         if self.table.release(ident):
@@ -328,6 +362,8 @@ class ColumnarAdjacency:
         ident = self.table.acquire(name)  # the "defined" reference
         self._ensure_row(ident)
         self._defined[ident] = 1
+        self._position[ident] = self._next_position
+        self._next_position += 1
         for parent in parents:
             self._link_parent(ident, parent)
 
@@ -356,6 +392,19 @@ class ColumnarAdjacency:
         self._pending.discard(name)
         self._defined[ident] = 0
         self._release(ident)
+
+    def _reposition(self, order: tuple[str, ...]) -> None:
+        """Renumber every defined id's position after a reorder."""
+        id_of = self.table.id_of
+        defined = self._defined
+        position = self._position
+        for index, name in enumerate(order):
+            ident = id_of(name)
+            if ident is None or not defined[ident]:
+                self.mark_dirty()  # stream out of sync with the store
+                return
+            position[ident] = index
+        self._next_position = len(order)
 
     def _isa_update(self, name: str, record: MutationRecord) -> None:
         ident = self.table.id_of(name)
@@ -444,15 +493,41 @@ class ColumnarAdjacency:
             self._set_refs(ident, interface.referenced_type_names())
 
     def _rebuild(self) -> None:
+        """Re-derive the ISA columns and positions from a scan; every
+        interface's reference rows follow on the first reference query
+        (a full validation walks the ISA graph but never asks them).
+
+        The defined names take ids ``0..n-1`` in declaration order, so
+        the columns are allocated once and each id's position is its id.
+        """
         self.mark_dirty()
         self._dirty = False
         self.rebuilds += 1
-        for interface in self._schema:
-            self._define(interface.name, tuple(interface.supertypes))
-        for interface in self._schema:
-            ident = self.table.id_of(interface.name)
-            assert ident is not None
-            self._set_refs(ident, interface.referenced_type_names())
+        interfaces = self._schema.interfaces
+        count = len(interfaces)
+        self.table.seed(interfaces)  # the "defined" references
+        acquire = self.table.acquire
+        parents = self._parents = [None] * count
+        children = self._children = [None] * count
+        self._refs_out = [None] * count
+        self._refs_in = [None] * count
+        self._defined = bytearray(b"\1" * count)
+        self._position = array("q", range(count))
+        self._next_position = count
+        for ident, interface in enumerate(interfaces.values()):
+            if not interface.supertypes:
+                continue
+            row = parents[ident] = array("i")
+            for parent in interface.supertypes:
+                pid = acquire(parent)
+                self._ensure_row(pid)  # a dangling name takes a new id
+                row.append(pid)
+                bucket = children[pid]
+                if bucket is None:
+                    children[pid] = array("i", (ident,))
+                elif bucket[-1] != ident:  # ids arrive in order: dedupe
+                    bucket.append(ident)
+        self._pending = set(interfaces)
 
     def ensure_fresh(self) -> bool:
         """Rebuild if dirty; True when a scan rebuild happened."""
@@ -470,8 +545,8 @@ class ColumnarAdjacency:
     def fork_view(self, schema: "Schema") -> "ColumnarAdjacency":
         """An overlay copy of this store for a CoW fork of the schema.
 
-        O(ids) pointer work: the name table, outer column lists, and
-        defined bits are copied; the inner ``array('i')`` rows are
+        O(ids) pointer work: the name table, outer column lists, defined
+        bits and positions are copied; the inner ``array('i')`` rows are
         shared and privatised lazily by :meth:`_own`.  The view pins
         :attr:`version` so any later base mutation invalidates it
         (see :meth:`ensure_fresh`); while the base stays unmutated the
@@ -489,6 +564,8 @@ class ColumnarAdjacency:
         dup._refs_out = list(self._refs_out)
         dup._refs_in = list(self._refs_in)
         dup._defined = bytearray(self._defined)
+        dup._position = self._position[:]
+        dup._next_position = self._next_position
         dup._pending = set()
         dup._dirty = False
         dup.rebuilds = 0
@@ -517,6 +594,25 @@ class ColumnarAdjacency:
             return ()
         name_of = self.table.name_of
         return tuple(name_of(i) for i in row)
+
+    def children_of(self, name: str, ordered: bool = False) -> list[str]:
+        """Direct subtypes of *name* (defined or dangling); in
+        declaration order when *ordered*, else in row order."""
+        self.ensure_fresh()
+        ident = self.table.id_of(name)
+        row = self._children[ident] if ident is not None else None
+        if not row:
+            return []
+        if ordered:
+            row = sorted(row, key=self._position.__getitem__)
+        name_of = self.table.name_of
+        return [name_of(i) for i in row]
+
+    def with_children(self) -> set[str]:
+        """Names (defined or dangling) that have at least one subtype."""
+        self.ensure_fresh()
+        name_of = self.table.name_of
+        return {name_of(i) for i, row in enumerate(self._children) if row}
 
     def descendants_of(self, name: str) -> set[str]:
         """Transitive subtypes of *name*; excludes *name* itself."""
@@ -564,6 +660,46 @@ class ColumnarAdjacency:
             return set()
         name_of = self.table.name_of
         return {name_of(i) for i in bucket}
+
+    def referencers_in_order(self, targets: Iterable[str]) -> list[str]:
+        """Defined interfaces referencing any of *targets*, in
+        declaration order."""
+        self.ensure_fresh()
+        self._flush()
+        refs_in = self._refs_in
+        owners: set[int] = set()
+        for target in targets:
+            tid = self.table.id_of(target)
+            if tid is not None and refs_in[tid]:
+                owners.update(refs_in[tid])
+        name_of = self.table.name_of
+        return [
+            name_of(i) for i in sorted(owners, key=self._position.__getitem__)
+        ]
+
+    def position_key(self) -> Callable[[str], int]:
+        """Sort key: a defined type name -> its declaration position.
+
+        Use it at once: the key reads the current columns and is not
+        kept in step with later records.
+        """
+        self.ensure_fresh()
+        id_of = self.table.id_of
+        position = self._position
+        return lambda name: position[id_of(name)]
+
+    def declared_names(self) -> list[str]:
+        """Every defined name, sorted by declaration position."""
+        self.ensure_fresh()
+        defined = self._defined
+        name_of = self.table.name_of
+        return [
+            name_of(i)
+            for i in sorted(
+                (i for i in range(len(defined)) if defined[i]),
+                key=self._position.__getitem__,
+            )
+        ]
 
     def refs_of(self, name: str) -> frozenset[str]:
         """Names referenced by interface *name* (empty if undefined)."""
@@ -914,10 +1050,18 @@ def adjacency_differential(
     """Mismatch messages between the flat-array store and the dict spec.
 
     Compares all four exported views plus the columnar store's internal
-    refcount integrity; [] means the two implementations agree exactly
-    on the current schema state.
+    refcount integrity, and checks that sorting the defined names by
+    the position column reproduces the schema's declaration order; []
+    means the two implementations agree exactly on the current schema
+    state.
     """
     problems = list(columnar.check_integrity())
+    declared = list(columnar._schema.interfaces)
+    if columnar.declared_names() != declared:
+        problems.append(
+            "positions: defined names sorted by position do not "
+            "reproduce the schema's declaration order"
+        )
     pairs = (
         ("isa_parents", columnar.isa_parents_map(), reference.isa_parents_map()),
         (

@@ -1,31 +1,28 @@
-"""Memoized reverse-adjacency indexes over a schema's link graphs.
+"""Graph queries over a schema's link graphs, and their reference scans.
 
 Every concept-schema extraction, propagation expansion, and consistency
 pass bottoms out in :class:`~repro.model.schema.Schema`'s graph queries.
-Answering them by scanning all interfaces makes ``descendants`` O(N^2)
-and rebuilds the complete part-of edge list on every ``parts`` call.
-:class:`SchemaIndex` maintains the reverse direction of each link family
-once and answers from dictionaries instead:
+:class:`SchemaIndex` answers the ones that need a reverse direction or
+a declaration order from one store, the spine-fed
+:class:`~repro.model.columnar.ColumnarAdjacency`:
 
-* ``subtype_map``     -- supertype name -> direct subtype names,
-* ``parts_map``       -- whole name -> direct part names,
-* ``wholes_map``      -- part name -> direct whole names,
-* ``instance_map``    -- generic name -> direct instance names,
-* ``generic_map``     -- instance name -> direct generic names,
-* ``part_of_edges`` / ``instance_of_edges`` -- the cached edge triples,
-* ``relationship_pairs`` -- the cached (owner, end) listing,
-* ``declaration_order``  -- interface name -> declaration position.
+* ``subtypes`` / ``children`` / ``with_subtypes`` -- the ISA children
+  rows (``subtypes`` sorted by the position column);
+* ``descendants_of`` / ``descendants_closure`` -- integer BFS over the
+  same rows;
+* ``referencers_of`` / ``ends_targeting`` -- the incoming-reference
+  rows (``ends_targeting`` sorts the owners by position);
+* ``declaration_key`` -- the position column as a sort key.
 
-**Invalidation contract.**  The index is a subscriber of the schema's
-mutation spine (:mod:`repro.model.mutation`): ``Schema.generation`` is
-the spine's monotonic ``seq``, bumped by every emitted
-:class:`~repro.model.mutation.MutationRecord` -- i.e. by every mutator
-on :class:`~repro.model.schema.Schema` and
-:class:`~repro.model.interface.InterfaceDef`.  Each cache family is
-stamped with the generation it was built at; a query whose stamp no
-longer matches rebuilds that family lazily.  Code that mutates schema
-content without going through a mutator (direct container assignment)
-must call ``Schema.touch()`` itself -- see DESIGN.md §5e.
+Forward links (supertypes, parts, instances) need no index: ``Schema``
+reads them off the owner's own definition.
+
+**Freshness.**  The store is a subscriber of the schema's mutation
+spine (:mod:`repro.model.mutation`): it folds every record as it is
+emitted, and a lossy record (``touch`` or an unknown kind) marks it
+dirty for one scan rebuild on the next query.  Code that mutates schema
+content without going through a mutator must call ``Schema.touch()``
+itself -- see DESIGN.md §5e.
 
 The module also ships the ``scan_*`` reference implementations: the
 original full-scan queries, kept as the executable specification the
@@ -35,8 +32,10 @@ index is validated against (property tests) and benchmarked against
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
+from repro.model.columnar import ColumnarAdjacency
+from repro.model.mutation import MutationRecord
 from repro.model.relationships import RelationshipEnd, RelationshipKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -46,100 +45,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 Edge = tuple[str, str, RelationshipEnd]
 
 
-# ----------------------------------------------------------------------
-# Compatibility re-exports
-# ----------------------------------------------------------------------
-#
-# The aspect vocabulary and the dirty journal moved to the mutation
-# spine (repro.model.mutation) when mutations were reified; the legacy
-# string constants are now Aspect enum members (StrEnum: they compare
-# and hash like the old strings).  Kept importable from here for one
-# release.
-
-from repro.model.mutation import (  # noqa: E402,F401 (re-export)
-    ALL_ASPECTS as ALL_TOUCH_ASPECTS,
-    ORDER_CLOCK,
-    Aspect,
-    AspectClock,
-    DirtyJournal,
-    MutationRecord,
-    aspect_for_kind,
-    replayable_kind,
-)
-from repro.model.columnar import ColumnarAdjacency  # noqa: E402
-
-ASPECT_ISA = Aspect.ISA
-ASPECT_ATTRS = Aspect.ATTRS
-ASPECT_KEYS = Aspect.KEYS
-ASPECT_EXTENT = Aspect.EXTENT
-ASPECT_OPS = Aspect.OPS
-ASPECT_REL_ASSOCIATION = Aspect.REL_ASSOCIATION
-ASPECT_REL_PART_OF = Aspect.REL_PART_OF
-ASPECT_REL_INSTANCE_OF = Aspect.REL_INSTANCE_OF
-ASPECT_MEMBERSHIP = Aspect.MEMBERSHIP
-
-
-# Aspect-sharded stamp dependencies per cache family.  A family rebuilds
-# only when a record carrying one of its dependency clocks has landed on
-# the spine since it was built (membership and declaration order affect
-# every listing's content or ordering).
-_ISA_DEPS = (Aspect.ISA, Aspect.MEMBERSHIP, ORDER_CLOCK)
-_PART_DEPS = (Aspect.REL_PART_OF, Aspect.MEMBERSHIP, ORDER_CLOCK)
-_INSTANCE_DEPS = (Aspect.REL_INSTANCE_OF, Aspect.MEMBERSHIP, ORDER_CLOCK)
-_PAIR_DEPS = (
-    Aspect.REL_ASSOCIATION,
-    Aspect.REL_PART_OF,
-    Aspect.REL_INSTANCE_OF,
-    Aspect.MEMBERSHIP,
-    ORDER_CLOCK,
-)
-_ORDER_DEPS = (Aspect.MEMBERSHIP, ORDER_CLOCK)
-
-
 class SchemaIndex:
-    """Aspect-stamped caches plus the columnar incremental adjacency.
+    """Query facade over the schema's columnar adjacency store.
 
-    Two complementary mechanisms keep graph queries fast at 100k types:
-
-    * **Aspect-sharded stamps** -- each scan-built cache family stamps
-      the :class:`~repro.model.mutation.AspectClock` counters of only
-      the aspects whose records can change it, so an attribute edit no
-      longer forces an O(N) subtype-map rebuild.
-    * **Columnar adjacency** -- ISA parents/children and the reverse
-      reference map live in :class:`~repro.model.columnar.
-      ColumnarAdjacency`: interned-name integer ids over flat
-      ``array('i')`` rows with free-list id reuse, folded
-      record-by-record from the spine, so ``descendants`` and "who
-      references type X" answer in O(result) with no per-mutation
-      rebuild at all and no per-edge container overhead.  The previous
-      dict implementation survives as :class:`~repro.model.columnar.
-      DictAdjacency`, the differential reference spec.
-
-    ``scope`` records are declarative annotations (belt-and-suspenders
-    for the validation journal's dirty-name set); actual content changes
-    always land as mutator records (``python -m repro.lint`` and the
-    spine differentials enforce this), so they advance no clock here.
-    Lossy records (``touch`` / unknown kinds) invalidate everything.
+    Holds no state of its own beyond counters: each query makes the
+    store fresh (``hits`` when it already was, ``misses`` and
+    ``rebuilds`` when the query triggered a scan rebuild) and answers
+    from its columns.
     """
 
-    __slots__ = (
-        "_schema",
-        "_caches",
-        "_clock",
-        "adjacency",
-        "hits",
-        "misses",
-        "rebuilds",
-    )
+    __slots__ = ("_schema", "adjacency", "hits", "misses", "rebuilds")
 
     def __init__(self, schema: "Schema") -> None:
         self._schema = schema
-        self._caches: dict[str, tuple[object, object]] = {}
-        self._clock = AspectClock()
-        #: The columnar (struct-of-arrays) ISA / reverse-reference store:
-        #: interned-name ids, flat ``array('i')`` rows, free-list reuse.
-        #: The dict implementation it replaced survives as
-        #: :class:`repro.model.columnar.DictAdjacency`, the reference
+        #: The columnar (struct-of-arrays) ISA / reverse-reference /
+        #: position store.  The dict implementation it replaced survives
+        #: as :class:`repro.model.columnar.DictAdjacency`, the reference
         #: spec the ``columnar-vs-dict-adjacency`` differential holds
         #: this store to.
         self.adjacency = ColumnarAdjacency(schema)
@@ -148,15 +69,8 @@ class SchemaIndex:
         self.rebuilds = 0
         schema.log.subscribe(self._observe)
 
-    # ------------------------------------------------------------------
-    # Spine subscriber
-    # ------------------------------------------------------------------
-
     def _observe(self, record: MutationRecord) -> None:
-        """Fold one mutation record into clocks and the columnar store."""
-        if record.kind == "scope":
-            return
-        self._clock.observe(record)
+        """Fold one mutation record into the columnar store."""
         self.adjacency.observe(record)
 
     def adopt_base_adjacency(self, parent: "SchemaIndex") -> None:
@@ -165,81 +79,29 @@ class SchemaIndex:
         Called by ``Schema.fork`` right after the fork's fresh index is
         wired: replaces the cold (dirty) columnar store with a CoW
         overlay of the parent's, so the fork's first graph query costs
-        O(ids) pointer copies instead of an O(types) scan rebuild.  The
-        sharded dict caches stay cold -- they are already lazy and
-        per-family.  ``_observe`` looks ``self.adjacency`` up
-        dynamically, so swapping the store here keeps the spine
-        subscription intact.
+        O(ids) pointer copies instead of an O(types) scan rebuild.
+        ``_observe`` looks ``self.adjacency`` up dynamically, so
+        swapping the store here keeps the spine subscription intact.
         """
         self.adjacency = parent.adjacency.fork_view(self._schema)
 
-    def _count_adjacency(self, rebuilt: bool) -> None:
-        """Keep the hit/miss counters honest for columnar answers."""
-        if rebuilt:
+    def _fresh(self) -> ColumnarAdjacency:
+        """The store, rebuilt first if stale; counts the query."""
+        adjacency = self.adjacency
+        if adjacency.ensure_fresh():
             self.misses += 1
+            self.rebuilds += 1
         else:
             self.hits += 1
-
-    # ------------------------------------------------------------------
-    # Cache machinery
-    # ------------------------------------------------------------------
-
-    def _get(self, family: str, builder: Callable[[], object]) -> object:
-        generation = self._schema.generation
-        cached = self._caches.get(family)
-        if cached is not None:
-            if cached[0] == generation:
-                self.hits += 1
-                return cached[1]
-            self.rebuilds += 1
-        self.misses += 1
-        value = builder()
-        self._caches[family] = (generation, value)
-        return value
-
-    def _get_sharded(
-        self,
-        family: str,
-        deps: tuple[object, ...],
-        builder: Callable[[], object],
-    ) -> object:
-        """Like :meth:`_get` but stamped with per-aspect clocks."""
-        stamp = self._clock.stamp(deps)
-        cached = self._caches.get(family)
-        if cached is not None:
-            if cached[0] == stamp:
-                self.hits += 1
-                return cached[1]
-            self.rebuilds += 1
-        self.misses += 1
-        value = builder()
-        self._caches[family] = (stamp, value)
-        return value
-
-    def invalidate(self) -> None:
-        """Drop every cache family (normally the stamps suffice)."""
-        self._caches.clear()
-        self.adjacency.mark_dirty()
-
-    def memo(self, family: str, builder: Callable[[], object]) -> object:
-        """Generation-stamped memoization for derived whole-schema values.
-
-        Callers own the *family* namespace (prefix it); the cached value
-        is dropped automatically when the schema's generation moves, so
-        the value must be a pure function of schema content.  Used by
-        the verification engine to avoid re-fingerprinting an unchanged
-        schema between differential checks.
-        """
-        return self._get(family, builder)
+        return adjacency
 
     def stats(self) -> dict[str, int]:
-        """Hit / miss / rebuild counters plus current cache residency."""
+        """Query counters plus the store's size and rebuild counters."""
         adjacency = self.adjacency.stats()
         return {
             "hits": self.hits,
             "misses": self.misses,
             "rebuilds": self.rebuilds,
-            "cached_families": len(self._caches),
             "generation": self._schema.generation,
             "adjacency_ids": adjacency["ids"],
             "adjacency_capacity": adjacency["capacity"],
@@ -257,42 +119,39 @@ class SchemaIndex:
     # Generalization hierarchy
     # ------------------------------------------------------------------
 
-    def subtype_map(self) -> dict[str, list[str]]:
-        """Supertype name -> direct subtypes, in declaration order.
+    def subtypes(self, name: str) -> list[str]:
+        """Direct subtypes of *name*, in declaration order.
 
-        Keys include dangling supertype names (a subtype may reference a
-        type the schema does not define); resolution against the schema
-        is the caller's concern.
+        *name* may be a dangling supertype name (a subtype may reference
+        a type the schema does not define).
         """
-        return self._get_sharded(  # type: ignore[return-value]
-            "subtypes", _ISA_DEPS, self._build_subtype_map
-        )
+        return self._fresh().children_of(name, ordered=True)
 
-    def _build_subtype_map(self) -> dict[str, list[str]]:
-        result: dict[str, list[str]] = {}
-        for interface in self._schema:
-            for supertype in interface.supertypes:
-                result.setdefault(supertype, []).append(interface.name)
-        return result
+    def children(self, name: str) -> list[str]:
+        """Direct subtypes of *name* in no particular order (the cheap
+        form for walks that only collect a set)."""
+        return self._fresh().children_of(name)
+
+    def with_subtypes(self) -> set[str]:
+        """Every name, defined or dangling, with at least one subtype."""
+        return self._fresh().with_children()
 
     def descendants_of(self, name: str) -> set[str]:
         """Transitive subtypes of *name*; excludes *name* itself.
 
-        Answered from the columnar store: an integer BFS over the flat
-        ISA-children rows, folded record-by-record from the spine, so a
-        100-op plan pays O(ops) maintenance instead of O(N) rebuilds.
+        An integer BFS over the flat ISA-children rows, folded
+        record-by-record from the spine, so a 100-op plan pays O(ops)
+        maintenance instead of O(N) rebuilds.
         """
-        self._count_adjacency(self.adjacency.ensure_fresh())
-        return self.adjacency.descendants_of(name)
+        return self._fresh().descendants_of(name)
 
     def descendants_closure(self, seeds: set[str]) -> set[str]:
         """Every descendant of any seed, the seeds themselves excluded
         unless reachable from another seed."""
-        self._count_adjacency(self.adjacency.ensure_fresh())
-        return self.adjacency.descendants_closure(seeds)
+        return self._fresh().descendants_closure(seeds)
 
     # ------------------------------------------------------------------
-    # Reverse references (who mentions type X?)
+    # Reverse references (who mentions type X?) and declaration order
     # ------------------------------------------------------------------
 
     def referencers_of(self, target: str) -> set[str]:
@@ -304,127 +163,33 @@ class SchemaIndex:
         incrementally: a mutator record only marks its owner pending,
         and pending owners re-derive their reference rows lazily.
         """
-        self._count_adjacency(self.adjacency.ensure_fresh())
-        return self.adjacency.referencers_of(target)
+        return self._fresh().referencers_of(target)
 
     def ends_targeting(
-        self, targets: set[str]
+        self, targets: Iterable[str]
     ) -> list[tuple[str, RelationshipEnd]]:
         """(owner, end) pairs with ``end.target_type`` in *targets*.
 
-        Same relative order as :meth:`relationship_pairs`, but computed
-        from the incremental reverse-reference rows: an end targeting X
-        implies its owner references X (``referenced_type_names``
-        includes every end's target type), so only referencing owners'
-        end lists are inspected — no whole-schema pair listing rebuild.
+        Same relative order as ``scan_relationship_pairs``: an end
+        targeting X implies its owner references X
+        (``referenced_type_names`` includes every end's target type),
+        so only the referencing owners' ends are read, owners sorted by
+        declaration position.
         """
-        self._count_adjacency(self.adjacency.ensure_fresh())
-        owners: set[str] = set(targets)
-        for target in targets:
-            owners.update(self.adjacency.referencers_of(target))
-        pairs: list[tuple[str, RelationshipEnd]] = []
-        if not owners:
-            return pairs
-        for name in self._schema.interfaces:
-            if name not in owners:
-                continue
-            for end in self._schema.interfaces[name].relationships.values():
-                if end.target_type in targets:
-                    pairs.append((name, end))
-        return pairs
+        targets = set(targets)
+        owners = self._fresh().referencers_in_order(targets)
+        interfaces = self._schema.interfaces
+        return [
+            (owner, end)
+            for owner in owners
+            for end in interfaces[owner].relationships.values()
+            if end.target_type in targets
+        ]
 
-    # ------------------------------------------------------------------
-    # Part-of / instance-of hierarchies
-    # ------------------------------------------------------------------
-
-    def part_of_edges(self) -> list[Edge]:
-        """(whole, part, to-parts end) triples, in declaration order."""
-        return self._get_sharded(  # type: ignore[return-value]
-            "part_edges",
-            _PART_DEPS,
-            lambda: scan_link_edges(self._schema, RelationshipKind.PART_OF),
-        )
-
-    def instance_of_edges(self) -> list[Edge]:
-        """(generic, instance, to-instances end) triples."""
-        return self._get_sharded(  # type: ignore[return-value]
-            "instance_edges",
-            _INSTANCE_DEPS,
-            lambda: scan_link_edges(self._schema, RelationshipKind.INSTANCE_OF),
-        )
-
-    def part_of_edge_count(self) -> int:
-        """Number of part-of edges without copying the edge list.
-
-        ``Schema.stats()`` used to materialise a fresh edge-list copy
-        just to ``len()`` it; this answers from the cached family in
-        O(1) once built.
-        """
-        return len(self.part_of_edges())
-
-    def instance_of_edge_count(self) -> int:
-        """Number of instance-of edges without copying the edge list."""
-        return len(self.instance_of_edges())
-
-    def parts_map(self) -> dict[str, list[str]]:
-        """Whole name -> direct part names."""
-        return self._get_sharded(  # type: ignore[return-value]
-            "parts", _PART_DEPS, lambda: _forward_map(self.part_of_edges())
-        )
-
-    def wholes_map(self) -> dict[str, list[str]]:
-        """Part name -> direct whole names."""
-        return self._get_sharded(  # type: ignore[return-value]
-            "wholes", _PART_DEPS, lambda: _reverse_map(self.part_of_edges())
-        )
-
-    def instance_map(self) -> dict[str, list[str]]:
-        """Generic name -> direct instance names."""
-        return self._get_sharded(  # type: ignore[return-value]
-            "instances",
-            _INSTANCE_DEPS,
-            lambda: _forward_map(self.instance_of_edges()),
-        )
-
-    def generic_map(self) -> dict[str, list[str]]:
-        """Instance name -> direct generic names."""
-        return self._get_sharded(  # type: ignore[return-value]
-            "generics",
-            _INSTANCE_DEPS,
-            lambda: _reverse_map(self.instance_of_edges()),
-        )
-
-    # ------------------------------------------------------------------
-    # Whole-schema listings
-    # ------------------------------------------------------------------
-
-    def relationship_pairs(self) -> list[tuple[str, RelationshipEnd]]:
-        """Every (owner name, end) pair in declaration order."""
-        return self._get_sharded(  # type: ignore[return-value]
-            "pairs", _PAIR_DEPS, lambda: scan_relationship_pairs(self._schema)
-        )
-
-    def declaration_order(self) -> dict[str, int]:
-        """Interface name -> position in declaration order."""
-        return self._get_sharded(  # type: ignore[return-value]
-            "order",
-            _ORDER_DEPS,
-            lambda: {name: i for i, name in enumerate(self._schema.interfaces)},
-        )
-
-
-def _forward_map(edges: list[Edge]) -> dict[str, list[str]]:
-    result: dict[str, list[str]] = {}
-    for owner, target, _ in edges:
-        result.setdefault(owner, []).append(target)
-    return result
-
-
-def _reverse_map(edges: list[Edge]) -> dict[str, list[str]]:
-    result: dict[str, list[str]] = {}
-    for owner, target, _ in edges:
-        result.setdefault(target, []).append(owner)
-    return result
+    def declaration_key(self) -> Callable[[str], int]:
+        """Sort key mapping a defined type name to its declaration
+        position; sorting by it reproduces the schema's order."""
+        return self._fresh().position_key()
 
 
 # ----------------------------------------------------------------------

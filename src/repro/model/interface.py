@@ -480,6 +480,22 @@ class InterfaceDef:
         )
         return old
 
+    def reorder_relationships(self, order: list[str]) -> None:
+        """Rebuild the relationship dict in *order* (undo of a deletion).
+
+        *order* must be a permutation of the current path names.  The
+        record carries the aspect of every kind present: the order
+        decides which cycle a link-graph DFS reports first.
+        """
+        self._cow_barrier()
+        self.relationships = self._reordered(
+            self.relationships, order, "relationship"
+        )
+        aspects = frozenset().union(
+            *(_REL[end.kind] for end in self.relationships.values())
+        )
+        self._emit("reorder_relationships", aspects, {"order": tuple(order)})
+
     def add_operation(self, operation: Operation) -> None:
         """Add an operation; its name must be free among operations."""
         self._cow_barrier()

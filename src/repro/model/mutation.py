@@ -12,8 +12,8 @@ single source of change truth:
   :class:`~repro.model.schema.Schema` emits one structured
   :class:`MutationRecord` (kind, interface, aspects, payload, monotonic
   seq) onto the schema's :class:`MutationLog`;
-* cache layers are *subscribers* of that stream — the index derives its
-  generation from :attr:`MutationLog.seq`, the validation cache's
+* cache layers are *subscribers* of that stream — the index's columnar
+  store folds records into its columns, the validation cache's
   :class:`DirtyJournal` folds records into its dirty set, and
   fingerprint memos stamp against the same seq (:meth:`MutationLog.
   memo`);
@@ -388,6 +388,7 @@ _REPLAYERS: dict[str, Callable[["Schema", MutationRecord], None]] = {
     "add_relationship": _interface_replayer("add_relationship", "end"),
     "remove_relationship": _interface_replayer("remove_relationship", "name"),
     "replace_relationship": _interface_replayer("replace_relationship", "end"),
+    "reorder_relationships": _interface_replayer("reorder_relationships", "order"),
     "add_operation": _interface_replayer("add_operation", "operation"),
     "remove_operation": _interface_replayer("remove_operation", "name"),
     "replace_operation": _interface_replayer("replace_operation", "operation"),
@@ -459,12 +460,8 @@ class DirtyJournal:
 
 
 # ----------------------------------------------------------------------
-# The aspect clock: sharded generation counters for stamped caches
+# Replayability
 # ----------------------------------------------------------------------
-
-#: Pseudo-aspect tracked by :class:`AspectClock` for declaration-order
-#: moves (``reorder_interfaces`` records carry an empty aspect set).
-ORDER_CLOCK = "order"
 
 
 def replayable_kind(kind: str) -> bool:
@@ -475,48 +472,6 @@ def replayable_kind(kind: str) -> bool:
     (``touch`` or any future unregistered kind), which force a rebuild.
     """
     return kind in _REPLAYERS
-
-
-class AspectClock:
-    """Per-aspect monotonic generation counters over the spine.
-
-    A whole-log ``seq`` stamp invalidates every cache on every mutation;
-    at 10k types that makes each plan step pay an O(N) index rebuild.
-    The clock shards the generation by :class:`Aspect` (plus membership
-    and declaration order) so a cache family stamps only the counters
-    whose records can change its value: an attribute edit then leaves
-    the subtype map's stamp untouched.
-
-    A counter for an aspect is bumped exactly when a record carrying
-    that aspect lands on the spine, so "my stamp is unchanged" implies
-    "no record since my build could have changed my inputs" — rebuild
-    semantics stay byte-for-byte identical to the scan reference.
-    Lossy records (``touch`` or any unknown kind) bump every counter.
-    """
-
-    __slots__ = ("_clocks",)
-
-    def __init__(self) -> None:
-        self._clocks: dict[object, int] = {}
-
-    def observe(self, record: MutationRecord) -> None:
-        """Fold one mutation record into the sharded counters."""
-        clocks = self._clocks
-        kind = record.kind
-        for aspect in record.aspects:
-            clocks[aspect] = clocks.get(aspect, 0) + 1
-        if kind == "reorder_interfaces":
-            clocks[ORDER_CLOCK] = clocks.get(ORDER_CLOCK, 0) + 1
-        elif kind not in _REPLAYERS:
-            # Out-of-band mutation: nothing can be trusted.
-            for aspect in Aspect:
-                clocks[aspect] = clocks.get(aspect, 0) + 1
-            clocks[ORDER_CLOCK] = clocks.get(ORDER_CLOCK, 0) + 1
-
-    def stamp(self, deps: tuple[object, ...]) -> tuple[int, ...]:
-        """The current counter values for *deps* (a cache's stamp)."""
-        clocks = self._clocks
-        return tuple(clocks.get(dep, 0) for dep in deps)
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,11 @@ from repro.model.errors import (
     InvalidModelError,
     UnknownTypeError,
 )
-from repro.model.index import SchemaIndex
+from repro.model.index import (
+    SchemaIndex,
+    scan_link_edges,
+    scan_relationship_pairs,
+)
 from repro.model.interface import (
     InterfaceDef,
     _CowAnchor,
@@ -37,7 +41,7 @@ from repro.model.interface import (
     _SchemaShare,
 )
 from repro.model.mutation import Aspect, DirtyJournal, MutationLog
-from repro.model.relationships import RelationshipEnd
+from repro.model.relationships import RelationshipEnd, RelationshipKind
 
 if TYPE_CHECKING:
     from repro.model.validation_cache import ValidationCache
@@ -107,7 +111,7 @@ class Schema:
 
     @property
     def generation(self) -> int:
-        """Monotonic mutation counter; stamps the index's caches.
+        """Monotonic mutation counter; stamps derived caches.
 
         Derived from the spine -- the generation *is* the log's sequence
         number, so any emitted record invalidates stamped caches.
@@ -116,7 +120,7 @@ class Schema:
 
     @property
     def index(self) -> SchemaIndex:
-        """The memoized reverse-adjacency index over this schema."""
+        """The graph-query facade over this schema's adjacency store."""
         return self._index
 
     @property
@@ -356,7 +360,7 @@ class Schema:
 
     def subtypes(self, name: str) -> list[str]:
         """Direct subtypes of *name*, in declaration order."""
-        return list(self._index.subtype_map().get(name, ()))
+        return self._index.subtypes(name)
 
     def ancestors(self, name: str) -> set[str]:
         """All (transitive) supertypes of *name*; excludes *name* itself.
@@ -412,12 +416,12 @@ class Schema:
         A type whose only supertypes are dangling names tops every ISA
         path that actually exists in the schema, so it counts as a root.
         """
-        subtype_map = self._index.subtype_map()
+        with_subtypes = self._index.with_subtypes()
         interfaces = self.interfaces
         return [
             interface.name
             for interface in self
-            if interface.name in subtype_map
+            if interface.name in with_subtypes
             and not any(s in interfaces for s in interface.supertypes)
         ]
 
@@ -429,8 +433,9 @@ class Schema:
         left-to-right linearisation ODL implies.
         """
         result: dict[str, str] = {}
+        interfaces = self.interfaces
         for owner in self._linearised_ancestry(name):
-            for attr_name in self.get(owner).attributes:
+            for attr_name in interfaces[owner].attributes:
                 result.setdefault(attr_name, owner)
         return result
 
@@ -465,36 +470,64 @@ class Schema:
 
     def part_of_edges(self) -> list[tuple[str, str, RelationshipEnd]]:
         """(whole, part, to-parts end) triples, in declaration order."""
-        return list(self._index.part_of_edges())
+        return scan_link_edges(self, RelationshipKind.PART_OF)
 
     def instance_of_edges(self) -> list[tuple[str, str, RelationshipEnd]]:
         """(generic, instance, to-instances end) triples."""
-        return list(self._index.instance_of_edges())
+        return scan_link_edges(self, RelationshipKind.INSTANCE_OF)
+
+    def link_targets(self, name: str, kind: RelationshipKind) -> list[str]:
+        """Many-side targets of *name*'s to-many ends of *kind*.
+
+        The forward direction of a part-of (parts) or instance-of
+        (instances) link, read off the owner's own ends in declaration
+        order; empty for undefined names.  Reads ``interfaces`` directly
+        so a copy-on-write share is never materialised.
+        """
+        interface = self.interfaces.get(name)
+        if interface is None:
+            return []
+        return [
+            end.target_type
+            for end in interface.relationships.values()
+            if end.kind is kind and end.is_to_many
+        ]
+
+    def link_sources(self, name: str, kind: RelationshipKind) -> list[str]:
+        """Owners of to-many ends of *kind* targeting *name*.
+
+        The reverse direction (wholes, generics): the owners come from
+        the index's incoming-reference rows, in declaration order.
+        """
+        return [
+            owner
+            for owner, end in self._index.ends_targeting((name,))
+            if end.kind is kind and end.is_to_many
+        ]
 
     def parts(self, name: str) -> list[str]:
         """Direct components of *name* in the aggregation hierarchy."""
-        return list(self._index.parts_map().get(name, ()))
+        return self.link_targets(name, RelationshipKind.PART_OF)
 
     def wholes(self, name: str) -> list[str]:
         """Direct wholes that *name* is a component of."""
-        return list(self._index.wholes_map().get(name, ()))
+        return self.link_sources(name, RelationshipKind.PART_OF)
 
     def aggregation_roots(self) -> list[str]:
         """Wholes that are not themselves parts of anything."""
-        wholes = self._index.parts_map()
-        parts = self._index.wholes_map()
-        return [
-            name for name in self.type_names()
-            if name in wholes and name not in parts
-        ]
+        return self._link_roots(RelationshipKind.PART_OF)
 
     def instance_of_roots(self) -> list[str]:
         """Generic entities that are not instances of anything."""
-        generics = self._index.instance_map()
-        instances = self._index.generic_map()
+        return self._link_roots(RelationshipKind.INSTANCE_OF)
+
+    def _link_roots(self, kind: RelationshipKind) -> list[str]:
+        """Types with outgoing but no incoming *kind* links, in order."""
         return [
-            name for name in self.type_names()
-            if name in generics and name not in instances
+            name
+            for name in self.interfaces
+            if self.link_targets(name, kind)
+            and not self.link_sources(name, kind)
         ]
 
     # ------------------------------------------------------------------
@@ -503,7 +536,7 @@ class Schema:
 
     def relationship_pairs(self) -> list[tuple[str, RelationshipEnd]]:
         """Every (owner name, end) pair in declaration order."""
-        return list(self._index.relationship_pairs())
+        return scan_relationship_pairs(self)
 
     def find_inverse(self, owner: str, end: RelationshipEnd) -> RelationshipEnd | None:
         """The declared inverse end of *end*, or ``None`` if missing."""
@@ -622,8 +655,8 @@ class Schema:
             "relationship_ends": sum(len(i.relationships) for i in self),
             "operations": sum(len(i.operations) for i in self),
             "supertype_links": sum(len(i.supertypes) for i in self),
-            "part_of_links": self._index.part_of_edge_count(),
-            "instance_of_links": self._index.instance_of_edge_count(),
+            "part_of_links": len(self.part_of_edges()),
+            "instance_of_links": len(self.instance_of_edges()),
             "spine.seq": self._log.seq,
             "spine.records": len(self._log),
             "spine.subscribers": self._log.subscriber_count,

@@ -32,9 +32,9 @@ From the journal the cache closes over the rule scopes declared in
 2. inheritance closure: seeds touched in an aspect of
    :data:`~repro.model.validation.DESCEND_ASPECTS` spread to their
    transitive subtypes (inherited attributes feed key and order-by
-   resolution), walked over the index's ``subtype_map`` — whose keys
-   include *dangling* supertype names, so adding or removing a type
-   reaches the subtrees that (un)resolved under it;
+   resolution), walked over the columnar store's ISA children rows —
+   which exist for *dangling* supertype names too, so adding or
+   removing a type reaches the subtrees that (un)resolved under it;
 3. reference closure: interfaces that referenced any closed-over name at
    the previous validation are re-checked too (inverse declarations,
    order-by targets, and dangling references all read other interfaces).
@@ -67,10 +67,12 @@ step.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.model.errors import ValidationError
 from repro.model.mutation import Aspect
+from repro.model.relationships import RelationshipKind
 from repro.model.validation import (
     DESCEND_ASPECTS,
     INTERFACE_RULES,
@@ -122,65 +124,41 @@ def _isa_adjacency(schema: "Schema", name: str) -> Iterable[str]:
     for supertype in interfaces[name].supertypes:
         if supertype in interfaces:
             yield supertype
-    yield from schema.index.subtype_map().get(name, ())
+    yield from schema.index.children(name)
 
 
 def _part_of_adjacency(schema: "Schema", name: str) -> Iterable[str]:
     """Undirected neighbours in the aggregation graph."""
-    index = schema.index
-    yield from index.parts_map().get(name, ())
-    yield from index.wholes_map().get(name, ())
+    yield from schema.parts(name)
+    yield from schema.wholes(name)
 
 
 def _instance_of_adjacency(schema: "Schema", name: str) -> Iterable[str]:
     """Undirected neighbours in the instance-of graph."""
-    index = schema.index
-    yield from index.instance_map().get(name, ())
-    yield from index.generic_map().get(name, ())
-
-
-def _part_of_successors_fast(
-    schema: "Schema",
-) -> Callable[[str], Iterable[str]]:
-    """Index-backed twin of ``validation.part_of_successors``.
-
-    The reference spec builds its successor map from the
-    ``scan_link_edges`` full scan (it must stay cache-independent); the
-    cache is *allowed* to lean on :class:`SchemaIndex`, whose
-    ``part_of_edges`` caches the identical edge list, so the two
-    builders agree entry for entry.
-    """
-    edges: dict[str, list[str]] = {}
-    for whole, part, _ in schema.part_of_edges():
-        edges.setdefault(whole, []).append(part)
-    return lambda n: edges.get(n, ())
-
-
-def _instance_of_successors_fast(
-    schema: "Schema",
-) -> Callable[[str], Iterable[str]]:
-    """Index-backed twin of ``validation.instance_of_successors``."""
-    edges: dict[str, list[str]] = {}
-    for generic, instance, _ in schema.instance_of_edges():
-        edges.setdefault(generic, []).append(instance)
-    return lambda n: edges.get(n, ())
+    yield from schema.link_targets(name, RelationshipKind.INSTANCE_OF)
+    yield from schema.link_sources(name, RelationshipKind.INSTANCE_OF)
 
 
 _CYCLE_FAMILIES: tuple[_CycleFamily, ...] = (
     _CycleFamily(
         "isa", Aspect.ISA, isa_successors, isa_cycle_issue, _isa_adjacency
     ),
+    # The link families' successors read each node's own to-many ends
+    # when the DFS asks (the reference spec scans every edge instead),
+    # so an incremental recheck costs O(component), not O(schema).
     _CycleFamily(
         "part-of",
         Aspect.REL_PART_OF,
-        _part_of_successors_fast,
+        lambda schema: schema.parts,
         part_of_cycle_issue,
         _part_of_adjacency,
     ),
     _CycleFamily(
         "instance-of",
         Aspect.REL_INSTANCE_OF,
-        _instance_of_successors_fast,
+        lambda schema: partial(
+            schema.link_targets, kind=RelationshipKind.INSTANCE_OF
+        ),
         instance_of_cycle_issue,
         _instance_of_adjacency,
     ),
@@ -378,8 +356,8 @@ class ValidationCache:
         seeds = set(touched) | (membership & interfaces.keys())
 
         # 2. Inheritance closure over the new subtype graph.  Walk from
-        # membership changes too: subtype_map keys include dangling
-        # names, so subtrees that (un)resolved under an added/removed
+        # membership changes too: dangling names keep their ISA children
+        # rows, so subtrees that (un)resolved under an added/removed
         # supertype are reached through it.
         descend_from = set(membership)
         descend_from.update(
@@ -550,15 +528,14 @@ class ValidationCache:
             else:
                 kept.append(entry)
         # A removed interface is no walk start, but unresolving the ISA
-        # links under it can re-root its former subtrees; subtype_map
-        # keeps dangling names as keys, so start from those children.
-        subtype_map = schema.index.subtype_map()
+        # links under it can re-root its former subtrees; the store keeps
+        # a children row for dangling names, so start from those children.
         starts: set[str] = set()
         for name in walk_seeds:
             if name in schema.interfaces:
                 starts.add(name)
             else:
-                starts.update(subtype_map.get(name, ()))
+                starts.update(schema.index.children(name))
         fresh, visited = self._scan_components(starts)
         # A merge can absorb an untouched cached component (its members
         # sit inside a freshly walked one, which may even have become
@@ -617,10 +594,10 @@ class ValidationCache:
             for name in names:
                 issues.extend(slots[name][slot])
         if self._components:
-            order = schema.index.declaration_order()
+            position = schema.index.declaration_key()
             ranked = sorted(
                 self._components,
-                key=lambda entry: min(order[name] for name in entry[0]),
+                key=lambda entry: min(map(position, entry[0])),
             )
             issues.extend(issue for _, issue in ranked)
         return issues

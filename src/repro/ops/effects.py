@@ -49,6 +49,19 @@ Footprint = frozenset[tuple[str, Aspect]]
 
 EMPTY_FOOTPRINT: Footprint = frozenset()
 
+EMPTY_ASPECTS: frozenset[Aspect] = frozenset()
+
+
+def meeting_aspects(aspects: frozenset[Aspect]) -> frozenset[Aspect]:
+    """The aspects a cell may carry and still overlap a cell of one of
+    *aspects* on the same interface: the same aspect, or membership on
+    either side (see :func:`_cells_overlap`)."""
+    if Aspect.MEMBERSHIP in aspects:
+        return frozenset(Aspect)
+    if aspects:
+        return aspects | {Aspect.MEMBERSHIP}
+    return EMPTY_ASPECTS
+
 
 def _cells_overlap(
     first: tuple[str, Aspect], second: tuple[str, Aspect]
@@ -178,6 +191,18 @@ class EffectSignature:
     def mentioned_names(self) -> frozenset[str]:
         """Every concrete interface name in the signature (no wildcard)."""
         return self._mentioned
+
+    @cached_property
+    def cell_aspects(self) -> frozenset[Aspect]:
+        """The aspect of every read or write cell, any name."""
+        return frozenset(aspect for _, aspect in self.reads | self.writes)
+
+    @cached_property
+    def wildcard_aspects(self) -> frozenset[Aspect]:
+        """The aspects of the read or write cells naming :data:`WILDCARD`."""
+        return self._read_index.get(WILDCARD, EMPTY_ASPECTS) | (
+            self._write_index.get(WILDCARD, EMPTY_ASPECTS)
+        )
 
     def binding_names(self) -> frozenset[str]:
         """Names whose existence this op changes (creates or deletes)."""

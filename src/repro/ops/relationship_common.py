@@ -363,9 +363,11 @@ class DeleteRelationshipBase(RelationshipOperation):
     def apply(self, schema: Schema, context: OperationContext = FREE_CONTEXT) -> Undo:
         self.validate(schema, context)
         owner = schema.edit(self.typename)
+        owner_order = list(owner.relationships)
         end = owner.remove_relationship(self.traversal_path)
         inverse_owner: InterfaceDef | None = None
         inverse_end: RelationshipEnd | None = None
+        inverse_order: list[str] = []
         if end.inverse_type in schema:
             candidate_owner = schema.edit(end.inverse_type)
             candidate = candidate_owner.relationships.get(end.inverse_name)
@@ -375,12 +377,19 @@ class DeleteRelationshipBase(RelationshipOperation):
                 and candidate.inverse_name == self.traversal_path
             ):
                 inverse_owner = candidate_owner
+                inverse_order = list(candidate_owner.relationships)
                 inverse_end = candidate_owner.remove_relationship(end.inverse_name)
 
         def undo() -> None:
-            schema.edit(self.typename).add_relationship(end)
+            # Reverse order of the removals, so a self-paired owner
+            # passes through the exact intermediate state it had.
             if inverse_owner is not None and inverse_end is not None:
-                schema.edit(inverse_owner.name).add_relationship(inverse_end)
+                restored = schema.edit(inverse_owner.name)
+                restored.add_relationship(inverse_end)
+                restored.reorder_relationships(inverse_order)
+            restored = schema.edit(self.typename)
+            restored.add_relationship(end)
+            restored.reorder_relationships(owner_order)
 
         return undo
 
@@ -459,13 +468,16 @@ def retarget_end(
         new_target_name, end.inverse_name
     )
     owner.replace_relationship(new_end)
+    old_order = list(old_target.relationships)
     moved = schema.edit(old_target_name).remove_relationship(end.inverse_name)
     schema.edit(new_target_name).add_relationship(moved)
 
     def undo() -> None:
         schema.edit(owner_name).replace_relationship(end)
         schema.edit(new_target_name).remove_relationship(moved.name)
-        schema.edit(old_target_name).add_relationship(moved)
+        restored = schema.edit(old_target_name)
+        restored.add_relationship(moved)
+        restored.reorder_relationships(old_order)
 
     return undo
 

@@ -485,11 +485,6 @@ def _check_index_generalization(schema, context):
     "(per-type probes sampled past the differential stride threshold)",
 )
 def _check_index_aggregation(schema, context):
-    scanned_edges = index_module.scan_link_edges(
-        schema, RelationshipKind.PART_OF
-    )
-    if schema.part_of_edges() != scanned_edges:
-        yield "part_of_edges(): index != scan"
     for name in _sampled_type_names(schema):
         if schema.parts(name) != index_module.scan_parts(schema, name):
             yield f"parts({name!r}): index != scan"
@@ -501,27 +496,38 @@ def _check_index_aggregation(schema, context):
 
 @invariant(
     "index-instance-of-vs-scan",
-    "DESIGN 5b: indexed instance-of queries equal the full-scan reference",
+    "DESIGN 5b: indexed instance-of queries equal the full-scan reference "
+    "(per-type probes sampled past the differential stride threshold)",
 )
 def _check_index_instance_of(schema, context):
-    scanned_edges = index_module.scan_link_edges(
-        schema, RelationshipKind.INSTANCE_OF
-    )
-    if schema.instance_of_edges() != scanned_edges:
-        yield "instance_of_edges(): index != scan"
+    kind = RelationshipKind.INSTANCE_OF
+    scanned_instances: dict[str, list[str]] = {}
+    scanned_generics: dict[str, list[str]] = {}
+    for generic, instance, _ in index_module.scan_link_edges(schema, kind):
+        scanned_instances.setdefault(generic, []).append(instance)
+        scanned_generics.setdefault(instance, []).append(generic)
+    for name in _sampled_type_names(schema):
+        if schema.link_targets(name, kind) != scanned_instances.get(name, []):
+            yield f"instances of {name!r}: index != scan"
+        if schema.link_sources(name, kind) != scanned_generics.get(name, []):
+            yield f"generics of {name!r}: index != scan"
     if schema.instance_of_roots() != index_module.scan_instance_of_roots(schema):
         yield "instance_of_roots(): index != scan"
 
 
 @invariant(
     "index-pairs-vs-scan",
-    "DESIGN 5b: the indexed relationship listing equals the full scan",
+    "DESIGN 5b: the indexed ends-targeting lookup equals the full "
+    "relationship listing filtered by target (per-type probes sampled "
+    "past the differential stride threshold)",
 )
 def _check_index_pairs(schema, context):
-    if schema.relationship_pairs() != index_module.scan_relationship_pairs(
-        schema
-    ):
-        yield "relationship_pairs(): index != scan"
+    scanned: dict[str, list] = {}
+    for owner, end in index_module.scan_relationship_pairs(schema):
+        scanned.setdefault(end.target_type, []).append((owner, end))
+    for name in _sampled_type_names(schema):
+        if schema.index.ends_targeting({name}) != scanned.get(name, []):
+            yield f"ends_targeting({{{name!r}}}): index != scan"
 
 
 @invariant(
@@ -586,20 +592,22 @@ def _check_spine_replay(schema, context):
 @invariant(
     "spine-subscribers-vs-rebuild",
     "DESIGN 5e: every subscriber's derived state equals a from-scratch "
-    "rebuild -- fresh index maps and a fresh full validation match the "
-    "live schema's",
+    "rebuild -- a fresh copy's adjacency views and full validation "
+    "match the live schema's",
     tier=TIER_EXPENSIVE,
 )
 def _check_spine_subscribers(schema, context):
     fresh = schema.copy(f"{schema.name}_rebuild")
-    if schema.index.subtype_map() != fresh.index.subtype_map():
-        yield "live subtype_map differs from a from-scratch rebuild"
-    if schema.index.parts_map() != fresh.index.parts_map():
-        yield "live parts_map differs from a from-scratch rebuild"
-    if schema.index.instance_map() != fresh.index.instance_map():
-        yield "live instance_map differs from a from-scratch rebuild"
-    if schema.index.declaration_order() != fresh.index.declaration_order():
-        yield "live declaration_order differs from a from-scratch rebuild"
+    live, rebuilt = schema.index.adjacency, fresh.index.adjacency
+    for view in (
+        "isa_parents_map",
+        "isa_children_map",
+        "refs_of_map",
+        "referencers_map",
+        "declared_names",
+    ):
+        if getattr(live, view)() != getattr(rebuilt, view)():
+            yield f"live adjacency {view}() differs from a from-scratch rebuild"
     live_issues = schema.validation.validate()
     fresh_issues = fresh.validation.validate()
     if live_issues != fresh_issues:
@@ -1224,9 +1232,8 @@ def _sub_schema(schema: Schema, names: Iterable[str], suffix: str) -> Schema:
     order.  References leaving the slice dangle, which the printer,
     parser, and mapper all accept -- dangling names are legal schema
     states (DESIGN 5i)."""
-    order = schema.index.declaration_order()
     sub = Schema(f"{schema.name}_{suffix}")
-    for name in sorted(names, key=order.__getitem__):
+    for name in sorted(names, key=schema.index.declaration_key()):
         sub.add_interface(schema.interfaces[name].copy())
     return sub
 

@@ -6,9 +6,12 @@ one reproduces as a dynamic failure), normalization rewrites preserve
 what a plan computes, and ``Workspace.apply_plan`` is all-or-nothing.
 """
 
+import random
+
 import pytest
 
 from repro.analysis.plan import (
+    ConflictEdge,
     PlanPreflightError,
     analyze_plan,
     conflict_edges,
@@ -25,7 +28,8 @@ from repro.ops.attribute_ops import (
     ModifyAttributeType,
 )
 from repro.ops.base import OperationError
-from repro.ops.effects import footprints_overlap
+from repro.model.mutation import Aspect
+from repro.ops.effects import WILDCARD, EffectSignature, footprints_overlap
 from repro.ops.type_ops import AddTypeDefinition, DeleteTypeDefinition
 from repro.ops.type_property_ops import (
     AddExtentName,
@@ -236,6 +240,55 @@ class TestConflictGraphAndBatches:
             [operation.effect_signature() for operation in plan]
         )
         assert any("read-after-write" in edge.reason for edge in edges)
+
+    @staticmethod
+    def _all_pairs_edges(signatures):
+        """Reference spec: test every ordered pair."""
+        edges = []
+        for later in range(len(signatures)):
+            for earlier in range(later):
+                reason = signatures[earlier].conflicts_with(signatures[later])
+                if reason is not None:
+                    edges.append(ConflictEdge(earlier, later, reason))
+        return edges
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bucketed_edges_equal_all_pairs_on_generated_plans(self, seed):
+        schema = generate_schema(
+            WorkloadSpec(types=40, seed=seed, isa_fraction=0.45,
+                         part_of_chain=8, instance_of_chain=5)
+        )
+        plan = generate_operations(schema, 80, seed=seed + 100)
+        signatures = [operation.effect_signature() for operation in plan]
+        assert conflict_edges(signatures) == self._all_pairs_edges(signatures)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bucketed_edges_equal_all_pairs_on_random_signatures(self, seed):
+        # Synthetic footprints reach what the shipped ops never declare,
+        # e.g. wildcard membership cells.
+        rng = random.Random(seed)
+        names = ["A", "B", "C", "D", WILDCARD]
+        aspects = list(Aspect)
+
+        def footprint():
+            return frozenset(
+                (rng.choice(names), rng.choice(aspects))
+                for _ in range(rng.randint(0, 3))
+            )
+
+        def bound():
+            return frozenset(
+                rng.sample(names[:-1], rng.randint(0, 1))
+            )
+
+        signatures = [
+            EffectSignature(
+                reads=footprint(), writes=footprint(), creates=bound(),
+                deletes=bound(), requires=bound(),
+            )
+            for _ in range(60)
+        ]
+        assert conflict_edges(signatures) == self._all_pairs_edges(signatures)
 
     def test_edges_skippable(self, small):
         analysis = analyze_plan(

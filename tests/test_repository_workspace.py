@@ -11,8 +11,10 @@ from repro.knowledge.propagation import expand
 from repro.model.attributes import Attribute
 from repro.model.fingerprint import schema_fingerprint, schemas_equal
 from repro.model.interface import InterfaceDef
+from repro.model.relationships import RelationshipKind
 from repro.model.types import NamedType, scalar
 from repro.model.validation import validate_schema
+from repro.odl.printer import print_schema
 from repro.ops.attribute_ops import AddAttribute, DeleteAttribute
 from repro.ops.base import (
     ConstraintViolation,
@@ -20,6 +22,9 @@ from repro.ops.base import (
     OperationContext,
 )
 from repro.ops.composite import CompositeOperation
+from repro.ops.instance_of_ops import DeleteInstanceOfRelationship
+from repro.ops.part_of_ops import DeletePartOfRelationship
+from repro.ops.relationship_ops import DeleteRelationship
 from repro.ops.type_ops import DeleteTypeDefinition
 from repro.ops.type_property_ops import AddSupertype, DeleteSupertype
 from repro.repository.workspace import Workspace
@@ -240,8 +245,17 @@ class TestFeedback:
         ]
 
 
+#: relationship kind -> its delete operation
+_DELETE_RELATIONSHIP = {
+    RelationshipKind.ASSOCIATION: DeleteRelationship,
+    RelationshipKind.PART_OF: DeletePartOfRelationship,
+    RelationshipKind.INSTANCE_OF: DeleteInstanceOfRelationship,
+}
+
+
 def _catalog_deletes():
-    """Every type, attribute and supertype delete in every catalog schema."""
+    """Every type, attribute, supertype and relationship delete in every
+    catalog schema."""
     cases = []
     for name, build in SCHEMA_BUILDERS.items():
         for interface in build():
@@ -254,6 +268,10 @@ def _catalog_deletes():
             operations += [
                 DeleteSupertype(typename, supertype)
                 for supertype in interface.supertypes
+            ]
+            operations += [
+                _DELETE_RELATIONSHIP[end.kind](typename, path)
+                for path, end in interface.relationships.items()
             ]
             cases += [
                 pytest.param(name, operation, id=f"{name}:{operation.to_text()}")
@@ -274,6 +292,19 @@ def test_apply_and_apply_plan_agree_on_catalog_deletes(catalog, operation):
     assert expand(schema, operation, OperationContext(reference=schema)) == (
         entry.plan
     )
+
+
+@pytest.mark.parametrize("catalog, operation", _catalog_deletes())
+def test_undo_restores_printed_schema_on_catalog_deletes(catalog, operation):
+    """``apply`` then ``undo_last`` restores the printed ODL byte for
+    byte: declaration order of types, attributes and relationship ends
+    included, not only the order-blind fingerprint."""
+    schema = SCHEMA_BUILDERS[catalog]()
+    original = print_schema(schema)
+    workspace = Workspace(schema)
+    workspace.apply(operation)
+    workspace.undo_last()
+    assert print_schema(workspace.schema) == original
 
 
 class TestAtomicUnderAnyException:

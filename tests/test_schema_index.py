@@ -35,6 +35,7 @@ from repro.model.interface import InterfaceDef
 from repro.model.relationships import RelationshipEnd, RelationshipKind
 from repro.model.schema import Schema
 from repro.model.types import NamedType, ScalarType, set_of
+from repro.ops.type_ops import DeleteTypeDefinition
 from repro.repository.workspace import Workspace
 from repro.workload.generator import (
     WorkloadSpec,
@@ -252,3 +253,96 @@ class TestInvalidationAcrossWorkspaceHistory:
         assert_index_matches_scan(schema)
         schema.remove_interface("B")
         assert_index_matches_scan(schema)
+
+
+def _part_of(name, part, inverse_name):
+    return RelationshipEnd(
+        name, set_of(part), part, inverse_name, RelationshipKind.PART_OF
+    )
+
+
+def _to_whole(name, whole, inverse_name):
+    return RelationshipEnd(
+        name, NamedType(whole), whole, inverse_name, RelationshipKind.PART_OF
+    )
+
+
+def assert_ordered_queries_match_scan(schema: Schema, extra=()) -> None:
+    """The order-bearing store queries equal their scans, name by name."""
+    pairs = scan_relationship_pairs(schema)
+    for name in [*schema.type_names(), *extra]:
+        assert schema.subtypes(name) == scan_subtypes(schema, name)
+        assert schema.wholes(name) == scan_wholes(schema, name)
+        assert schema.index.ends_targeting({name}) == [
+            (owner, end) for owner, end in pairs if end.target_type == name
+        ]
+
+
+class TestStoreOrderingMatchesScan:
+    """The position column orders answers exactly as the scans do."""
+
+    def _schema(self) -> Schema:
+        schema = Schema("ordering")
+        for name in ("Part", "Root", "Early", "Middle", "Late"):
+            schema.add_interface(InterfaceDef(name))
+        schema.get("Late").add_supertype("Root")
+        schema.get("Late").add_relationship(_part_of("parts", "Part", "late"))
+        schema.get("Part").add_relationship(_to_whole("late", "Late", "parts"))
+        return schema
+
+    def test_links_added_against_declaration_order(self):
+        schema = self._schema()
+        assert_ordered_queries_match_scan(schema)
+        # Link order now differs from declaration order.
+        schema.get("Early").add_supertype("Root")
+        schema.get("Early").add_relationship(_part_of("parts", "Part", "early"))
+        schema.get("Part").add_relationship(_to_whole("early", "Early", "parts"))
+        assert schema.subtypes("Root") == ["Early", "Late"]
+        assert schema.wholes("Part") == ["Early", "Late"]
+        assert_ordered_queries_match_scan(schema)
+
+    def test_type_delete_and_undo_restores_positions(self):
+        schema = self._schema()
+        schema.get("Middle").add_supertype("Root")
+        schema.get("Early").add_supertype("Root")
+        workspace = Workspace(schema)
+        assert workspace.schema.subtypes("Root") == ["Early", "Middle", "Late"]
+        workspace.apply(DeleteTypeDefinition("Middle"))
+        assert_ordered_queries_match_scan(workspace.schema)
+        workspace.undo_last()
+        assert workspace.schema.type_names() == schema.type_names()
+        assert workspace.schema.subtypes("Root") == ["Early", "Middle", "Late"]
+        assert_ordered_queries_match_scan(workspace.schema)
+
+    def test_reused_name_id_takes_a_fresh_position(self):
+        schema = self._schema()
+        assert_ordered_queries_match_scan(schema)  # build the store
+        table = schema.index.adjacency.table
+        freed = table.id_of("Middle")
+        schema.remove_interface("Middle")
+        schema.add_interface(InterfaceDef("Newest", supertypes=["Root"]))
+        assert table.id_of("Newest") == freed
+        schema.get("Newest").add_relationship(_part_of("parts", "Part", "newest"))
+        schema.get("Part").add_relationship(_to_whole("newest", "Newest", "parts"))
+        schema.get("Early").add_supertype("Root")
+        assert schema.subtypes("Root") == ["Early", "Late", "Newest"]
+        assert_ordered_queries_match_scan(schema, extra=("Middle",))
+
+    def test_cow_fork_after_its_base_mutates(self):
+        base = self._schema()
+        assert_ordered_queries_match_scan(base)
+        fork = base.fork()
+        fork.edit("Middle").add_supertype("Root")  # on the overlay view
+        assert fork.subtypes("Root") == ["Middle", "Late"]
+        assert_ordered_queries_match_scan(fork)
+        base.get("Early").add_supertype("Root")
+        base.get("Early").add_relationship(_part_of("parts", "Part", "early"))
+        base.get("Part").add_relationship(_to_whole("early", "Early", "parts"))
+        assert fork.subtypes("Root") == ["Middle", "Late"]
+        assert_ordered_queries_match_scan(fork)
+        fork.remove_interface("Early")
+        fork.add_interface(InterfaceDef("Early", supertypes=["Root"]))
+        assert fork.subtypes("Root") == ["Middle", "Late", "Early"]
+        assert_ordered_queries_match_scan(fork)
+        assert base.subtypes("Root") == ["Early", "Late"]
+        assert_ordered_queries_match_scan(base)
